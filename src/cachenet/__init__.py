@@ -69,7 +69,6 @@ from .ndt import (
     convexity_check,
     memory_share,
     rho_threshold,
-    rho_threshold_remark_form,
     shared_mdsia_ndt,
     shared_scheme_ndt,
     shared_soft_ndt,

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .channel import draw_channel
+from .combinatorics import level
 from .errors import (
     DegenerateChannel,
     DemandLengthMismatch,
@@ -161,12 +162,7 @@ def cmd_run(args) -> int:
 
 
 def _run_mdsia(t, mu_r, mu_t, rho, n_files, file_bits, seed, demand) -> int:
-    t_e_frac = mu_r * t.l
-    if t_e_frac.denominator != 1:
-        raise NonIntegralCacheParameter(
-            f"mu_r*L = {t_e_frac} is not an integer; use `sweep` for shared points"
-        )
-    bits = file_bits or minimal_file_bits(t, int(t_e_frac), mu_t)
+    bits = file_bits or minimal_file_bits(t, level("L", t.h, t.r, mu_r, mu_t), mu_t)
     lib = random_library(n_files, bits, seed)
     placement = mdsia_place(lib, t, mu_r, mu_t)
     cloud = mdsia_fronthaul(demand, placement, t)

@@ -1,0 +1,111 @@
+"""Subset combinatorics shared by every scheme.
+
+Every scheme indexes its caches by t-subsets whose size t, the cache level,
+comes from the cache fractions through one of three normalizers: ``"L"``
+(t = mu_r*L, rank subsets at one EN), ``"K"`` (t = mu_r*K, UE subsets) and
+``"ZF"`` (t = (mu_r + mu_t - 1)*K/mu_t, the cloud-free prefix). This module
+owns that map and its inverse, the lexicographic rank of a subset, the
+chunk count of the under-provisioned regime, and the smallest file size
+that slices into whole bytes. Cache fractions are exact rationals (ints or
+``Fraction``); all arithmetic here stays on their integer parts.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, gcd, lcm
+
+from .errors import NonIntegralCacheParameter, OutOfRange, RegionViolation
+
+NORMALIZERS = ("L", "K", "ZF")
+
+_LEVEL_NAMES = {"L": "mu_r*L", "K": "mu_r*K", "ZF": "t_R = (mu_r+mu_t-1)*K/mu_t"}
+
+
+def subset_rank(subset, pool) -> int:
+    """0-based rank of ``subset`` among the lexicographic combinations of ``pool``.
+
+    Both are ascending; elements are ranked by their position in ``pool``
+    (a ``range`` looks positions up in constant time).
+    """
+    # lex rank = C(n, size) - 1 - colex rank of the mirrored positions n-1-pos
+    n, size = len(pool), len(subset)
+    rank = comb(n, size) - 1
+    for e in subset:
+        rank -= comb(n - 1 - pool.index(e), size)
+        size -= 1
+    return rank
+
+
+def chunk_count(h: int, k: int, t: int) -> int:
+    """Chunks per subfile: one per (H-1)-subset of the K-t-1 bystanders when
+    t < K - H (each chunk nulled at H-1 UEs), else the subfile goes whole."""
+    return comb(k - t - 1, h - 1) if t < k - h else 1
+
+
+def _level_ratio(normalizer: str, h: int, r: int, mu_r, mu_t) -> tuple[int, int]:
+    # the cache level as numerator/denominator, after range and region checks
+    a, b = mu_r.numerator, mu_r.denominator
+    c, d = mu_t.numerator, mu_t.denominator
+    if not (0 <= a <= b and 0 <= c <= d):
+        raise OutOfRange(f"cache fractions must lie in [0,1]: mu_r={mu_r}, mu_t={mu_t}")
+    if normalizer == "L":
+        return comb(h - 1, r - 1) * a, b
+    if normalizer == "K":
+        return comb(h, r) * a, b
+    if normalizer == "ZF":
+        gap = a * d + c * b - b * d  # (mu_r + mu_t - 1) * b * d
+        if gap < 0:
+            raise RegionViolation(f"cloud-free delivery needs mu_r + mu_t >= 1, got {mu_r} + {mu_t}")
+        if c == 0:
+            return comb(h, r), 1  # the region forces mu_r = 1: everything fits at the UEs
+        return comb(h, r) * gap, b * c
+    raise ValueError(f"normalizer must be one of {NORMALIZERS}, got {normalizer!r}")
+
+
+def fractional_level(normalizer: str, h: int, r: int, mu_r, mu_t) -> Fraction:
+    """The exact cache level, integral or not (memory sharing brackets it).
+
+    Raises ``OutOfRange`` if a cache fraction leaves [0, 1], ``RegionViolation``
+    if ``"ZF"`` meets mu_r + mu_t < 1, and ``ValueError`` for an unknown normalizer.
+    """
+    return Fraction(*_level_ratio(normalizer, h, r, mu_r, mu_t))
+
+
+def level(normalizer: str, h: int, r: int, mu_r, mu_t) -> int:
+    """The integer cache level a placement is built on.
+
+    Raises as ``fractional_level``, and ``NonIntegralCacheParameter`` when
+    the level is not an integer (use memory sharing for such points).
+    """
+    num, den = _level_ratio(normalizer, h, r, mu_r, mu_t)
+    if num % den:
+        raise NonIntegralCacheParameter(
+            f"{_LEVEL_NAMES[normalizer]} = {Fraction(num, den)} is not an integer; "
+            "use memory sharing for such points"
+        )
+    return num // den
+
+
+def level_mu(normalizer: str, h: int, r: int, p: int, mu_t) -> Fraction:
+    """The UE cache fraction at which the level is the integer ``p``."""
+    if normalizer == "L":
+        return Fraction(p, comb(h - 1, r - 1))
+    k = comb(h, r)
+    if normalizer == "K":
+        return Fraction(p, k)
+    if normalizer == "ZF":
+        c, d = mu_t.numerator, mu_t.denominator
+        return Fraction(c * p + (d - c) * k, d * k)  # mu_t*p/K + 1 - mu_t
+    raise ValueError(f"normalizer must be one of {NORMALIZERS}, got {normalizer!r}")
+
+
+def smallest_file_bits(*constraints) -> int:
+    """Smallest file size F with ``frac * F`` a whole multiple of ``unit``
+    for every ``(frac, unit)`` constraint (zero fractions impose nothing)."""
+    need = 1
+    for frac, unit in constraints:
+        if frac:
+            den = unit * frac.denominator
+            need = lcm(need, den // gcd(frac.numerator, den))
+    return need

@@ -23,17 +23,14 @@ locally with the same combinatorial structure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
+from .combinatorics import level, smallest_file_bits, subset_rank
 from .errors import (
-    DemandLengthMismatch,
     IndivisibleFileSize,
-    NonDistinctDemand,
-    NonIntegralCacheParameter,
     OutOfRange,
     PeelFailure,
     ReconstructionMismatch,
@@ -41,7 +38,7 @@ from .errors import (
 )
 from .mdscode import CodedChunk, Library, mds_decode, mds_encode, xor_bytes
 from .ndt import NdtValue, as_fraction
-from .topology import NetworkTopology, index
+from .topology import NetworkTopology, index, validate_demand
 from .verdict import RecoveryVerdict
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ class PlacementState:
         else:
             seg = chunk
         size = self.piece_bits(label.part) // 8
-        rank = _subset_rank(self.topology.l, self.t_e, label.subset)
+        rank = subset_rank(label.subset, range(1, self.topology.l + 1))
         return seg[rank * size:(rank + 1) * size]
 
     def ue_cache_bits(self, ue: int) -> int:
@@ -147,27 +144,15 @@ class PlacementState:
         return sum(self.piece_bits(lb.part) for lb in self.en_caches[en])
 
 
-def _subset_rank(l: int, t: int, subset: tuple[int, ...]) -> int:
-    # lexicographic rank of a t-subset of {1..l}, 0-based
-    rank = 0
-    prev = 0
-    for pos, elem in enumerate(subset):
-        for smaller in range(prev + 1, elem):
-            rank += comb(l - smaller, t - pos - 1)
-        prev = elem
-    return rank
-
-
 def minimal_file_bits(t: NetworkTopology, t_e: int, mu_t) -> int:
-    """Smallest file size (bits) for which every piece is a whole byte."""
-    mu_t = as_fraction(mu_t)
-    n_subsets = comb(t.l, t_e)
-    en_share = min(mu_t, Fraction(1, t.r))
-    denominators = [Fraction(1, 8 * t.r).denominator]
-    for coef in (en_share, Fraction(1, t.r) - en_share):
-        if coef > 0:
-            denominators.append((coef / (8 * n_subsets)).denominator)
-    return lcm(*denominators)
+    """Smallest file size (bits) for which every piece is a whole byte.
+
+    Every file size that slices into whole-byte pieces is a multiple of it.
+    """
+    chunk = Fraction(1, t.r)
+    en_share = min(as_fraction(mu_t), chunk)
+    piece_unit = 8 * comb(t.l, t_e)
+    return smallest_file_bits((chunk, 8), (en_share, piece_unit), (chunk - en_share, piece_unit))
 
 
 # ---------------------------------------------------------------------------
@@ -192,35 +177,23 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
     """
     mu_r = as_fraction(mu_r)
     mu_t = as_fraction(mu_t)
-    if not 0 <= mu_r <= 1 or not 0 <= mu_t <= 1:
-        raise OutOfRange("cache fractions must lie in [0, 1]")
-    t_e_frac = mu_r * t.l
-    if t_e_frac.denominator != 1:
-        raise NonIntegralCacheParameter(
-            f"mu_r*L = {t_e_frac} is not an integer; use memory sharing"
-        )
-    t_e = int(t_e_frac)
+    t_e = level("L", t.h, t.r, mu_r, mu_t)
 
     f_bits = lib.file_size_bits
-    n_subsets = comb(t.l, t_e)
-    en_share = min(mu_t, Fraction(1, t.r))
-    en_bits_f = en_share * f_bits
-    cloud_bits_f = Fraction(f_bits, t.r) - en_bits_f
-    if f_bits % (8 * t.r) != 0:
-        raise IndivisibleFileSize(f"file size {f_bits} bits not divisible by 8*r")
-    for part_bits in (en_bits_f, cloud_bits_f):
-        if part_bits > 0 and (part_bits.denominator != 1 or int(part_bits) % (8 * n_subsets) != 0):
-            raise IndivisibleFileSize(
-                f"part of {part_bits} bits does not slice into {n_subsets} whole-byte pieces"
-            )
-    en_bits, cloud_bits = int(en_bits_f), int(cloud_bits_f)
+    unit = minimal_file_bits(t, t_e, mu_t)
+    if f_bits % unit:
+        raise IndivisibleFileSize(
+            f"file size {f_bits} bits does not slice into whole-byte pieces (need a multiple of {unit})"
+        )
+    en_bits = int(min(mu_t, Fraction(1, t.r)) * f_bits)
+    cloud_bits = f_bits // t.r - en_bits
 
     chunks: dict[tuple[int, int], bytes] = {}
     for n in range(1, lib.n_files + 1):
         for c in mds_encode(lib.file(n), t.h, t.r, file_id=n):
             chunks[(n, c.chunk_id)] = c.payload
 
-    part_tags = [tag for tag, _, _ in _part_specs(en_bits, cloud_bits)]
+    part_tags = [EN_PART, CLOUD_PART] if en_bits and cloud_bits else [None]
     subsets = list(combinations(range(1, t.l + 1), t_e))
 
     ue_caches: dict[int, frozenset[PieceLabel]] = {}
@@ -262,33 +235,9 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
     )
 
 
-def _part_specs(en_bits: int, cloud_bits: int) -> list[tuple[str | None, str, int]]:
-    if cloud_bits == 0:
-        return [(None, "local", en_bits)]
-    if en_bits == 0:
-        return [(None, "cloud", cloud_bits)]
-    return [(EN_PART, "local", en_bits), (CLOUD_PART, "cloud", cloud_bits)]
-
-
 # ---------------------------------------------------------------------------
 # multicast generation
 # ---------------------------------------------------------------------------
-
-
-def validate_demand(demand, t: NetworkTopology, n_files: int, warn_repeats: bool = True) -> list[int]:
-    demand = list(demand)
-    if len(demand) != t.k:
-        raise DemandLengthMismatch(f"demand length {len(demand)} != {t.k} UEs")
-    for d in demand:
-        if not 1 <= d <= n_files:
-            raise OutOfRange(f"file id {d} outside 1..{n_files}")
-    if warn_repeats and len(set(demand)) != len(demand):
-        warnings.warn(
-            "demand entries repeat; worst-case delivery-time guarantee void",
-            NonDistinctDemand,
-            stacklevel=3,
-        )
-    return demand
 
 
 def _multicast(demand, placement: PlacementState, t: NetworkTopology, path: str) -> list[MulticastMessage]:
@@ -756,10 +705,7 @@ def mdsia_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
     mu_r = as_fraction(mu_r)
     mu_t = as_fraction(mu_t)
     l = comb(h - 1, r - 1)
-    t_e_frac = mu_r * l
-    if t_e_frac.denominator != 1:
-        raise NonIntegralCacheParameter(f"mu_r*L = {t_e_frac} not an integer")
-    t_e = int(t_e_frac)
+    t_e = level("L", h, r, mu_r, mu_t)
     if r != 2 and t_e < l - 2:
         raise UnsupportedRegime(f"connectivity {r} requires t >= L-2, got t={t_e}")
 

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
 
+from .combinatorics import fractional_level, level_mu
 from .errors import RegionViolation, UnsupportedRegime
 
 SCHEMES = ("mdsia", "soft", "zf")
@@ -75,16 +75,9 @@ class NdtValue:
         assert self.fronthaul >= 0 and self.edge >= 0, "negative component"
 
 
-def zero_ndt(scheme: str, branch: str = "") -> NdtValue:
-    z = Fraction(0)
-    return NdtValue(total=z, fronthaul=z, edge=z, scheme=scheme, branch=branch)
-
-
 # ---------------------------------------------------------------------------
 # memory sharing
 # ---------------------------------------------------------------------------
-
-NORMALIZERS = ("L", "K", "ZF")
 
 
 def memory_share(ndt_fn, h: int, r: int, mu_r, mu_t, rho, normalizer: str) -> NdtValue:
@@ -96,25 +89,11 @@ def memory_share(ndt_fn, h: int, r: int, mu_r, mu_t, rho, normalizer: str) -> Nd
     (mu_r+mu_t-1)*K/mu_t, affine in mu_r). Integral parameters evaluate
     directly (alpha = 1); otherwise the two adjacent integer points are
     combined with the exact affine weight, and errors raised at a bracket
-    point propagate.
+    point propagate. Cache fractions outside [0, 1] raise ``OutOfRange``.
     """
     mu_r = as_fraction(mu_r)
     mu_t = as_fraction(mu_t)
-    l, k = comb(h - 1, r - 1), comb(h, r)
-
-    if normalizer == "L":
-        param = mu_r * l
-        mu_of = lambda p: Fraction(p, l)
-    elif normalizer == "K":
-        param = mu_r * k
-        mu_of = lambda p: Fraction(p, k)
-    elif normalizer == "ZF":
-        if mu_t == 0:
-            raise RegionViolation("ZF normalizer undefined at mu_t = 0")
-        param = (mu_r + mu_t - 1) * k / mu_t
-        mu_of = lambda p: mu_t * Fraction(p, k) + (1 - mu_t)
-    else:
-        raise ValueError(f"normalizer must be one of {NORMALIZERS}, got {normalizer!r}")
+    param = fractional_level(normalizer, h, r, mu_r, mu_t)
 
     if param.denominator == 1:
         p = int(param)
@@ -125,7 +104,7 @@ def memory_share(ndt_fn, h: int, r: int, mu_r, mu_t, rho, normalizer: str) -> Nd
     p_lo = math.floor(param)
     p_hi = p_lo + 1
     alpha = param - p_lo  # affine in mu_r, so this is the weight of the upper point
-    mu_hi, mu_lo = mu_of(p_hi), mu_of(p_lo)
+    mu_hi, mu_lo = (level_mu(normalizer, h, r, p, mu_t) for p in (p_hi, p_lo))
     v_hi = ndt_fn(h, r, mu_hi, mu_t, rho)
     v_lo = ndt_fn(h, r, mu_lo, mu_t, rho)
     sharing = SharingDecomposition(mu_hi=mu_hi, mu_lo=mu_lo, alpha=alpha, param_hi=p_hi, param_lo=p_lo)
@@ -154,17 +133,6 @@ def shared_soft_ndt(h: int, r: int, mu_r, mu_t, rho) -> NdtValue:
 def shared_zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:
     from .zf import zf_ndt
 
-    mu_r = as_fraction(mu_r)
-    mu_t = as_fraction(mu_t)
-    if mu_r + mu_t < 1:
-        raise RegionViolation(f"cloud-free delivery needs mu_r + mu_t >= 1")
-    if mu_t == 0:
-        # only mu_r = 1 reaches here; everything is cached
-        k = comb(h, r)
-        sharing = SharingDecomposition(
-            mu_hi=mu_r, mu_lo=mu_r, alpha=Fraction(1), param_hi=k, param_lo=k
-        )
-        return replace(zero_ndt("zf", branch="degenerate"), sharing=sharing)
     fn = lambda hh, rr, m, mt, _rho: zf_ndt(hh, rr, m, mt)
     return memory_share(fn, h, r, mu_r, mu_t, None, "ZF")
 
@@ -212,40 +180,6 @@ def rho_threshold(h: int, r: int, mu_r, mu_t) -> Fraction | None:
     if z <= e:
         return None
     return b / (z - e)
-
-
-def rho_threshold_remark_form(h: int, r: int, mu_r, mu_t) -> Fraction:
-    """Closed-form variant of the threshold built from the sharing brackets.
-
-    Uses delta_i = (1 - mu_i)/(mu_i + 1/L) at the two sharing points of the
-    coded-multicast curve, with the combination weight read as the weight of
-    the LOWER bracket (the convention under which this form reproduces the
-    exact crossover on the region boundary t = 0 of the cloud-free scheme;
-    see the decisions ledger in the repo history for the derivation). Prefer
-    ``rho_threshold``, which is the general exact crossover.
-    """
-    mu_r = as_fraction(mu_r)
-    mu_t = as_fraction(mu_t)
-    if mu_r + mu_t < 1:
-        raise RegionViolation("threshold defined on the cloud-free region only")
-    l, k = comb(h - 1, r - 1), comb(h, r)
-    shared = shared_mdsia_ndt(h, r, mu_r, mu_t, Fraction(1))
-    assert shared.sharing is not None
-    mu1, mu2 = shared.sharing.mu_hi, shared.sharing.mu_lo
-    alpha = 1 - shared.sharing.alpha  # weight of the lower bracket
-    if alpha == 0:
-        mu2, alpha = mu1, Fraction(1)
-
-    delta1 = (1 - mu1) / (mu1 + Fraction(1, l))
-    delta2 = (1 - mu2) / (mu2 + Fraction(1, l))
-    clamp = max(Fraction(0), 1 - mu_t * r)
-    numerator = clamp * (delta2 + (1 - alpha) / alpha * delta1)
-    denominator = (
-        Fraction(k, min(h, k)) * (mu_t * r / alpha)
-        - delta2 * ((r - 1) * (mu2 + Fraction(1, l)) + 1)
-        - delta1 * (1 / alpha - 1) * ((r - 1) * (mu1 + Fraction(1, l)) + 1)
-    )
-    return numerator / denominator
 
 
 # ---------------------------------------------------------------------------

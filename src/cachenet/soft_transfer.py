@@ -25,16 +25,16 @@ from .channel import (
     ChannelMatrix,
     beamformers_for,
 )
+from .combinatorics import chunk_count, level, smallest_file_bits, subset_rank
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
-    NonIntegralCacheParameter,
     OutOfRange,
     ReconstructionMismatch,
 )
 from .mdscode import Library
 from .ndt import NdtValue, as_fraction
-from .topology import NetworkTopology
+from .topology import NetworkTopology, validate_demand
 from .verdict import RecoveryVerdict
 
 #: part resident in every EN cache before delivery
@@ -145,7 +145,7 @@ class SoftPlacement:
         """The exact bytes of one subfile (annotations ignored)."""
         start_bit, _ = self._part_span(label.part)
         size = self.subfile_bits[label.part]
-        rank = _lex_rank(range(1, self.topology.k + 1), label.subset)
+        rank = subset_rank(label.subset, range(1, self.topology.k + 1))
         lo = (start_bit + rank * size) // 8
         return self.library.file(label.file)[lo : lo + size // 8]
 
@@ -154,7 +154,7 @@ class SoftPlacement:
         assert label.pi is not None and label.pi_prime is not None
         dest = self.chunk_destination(label)
         pool = [u for u in range(1, self.topology.k + 1) if u != dest and u not in label.subset]
-        rank = _lex_rank(pool, label.pi)
+        rank = subset_rank(label.pi, pool)
         size = self.chunk_bits(label.part)
         sub = self.subfile_payload(label)
         lo = rank * size // 8
@@ -167,34 +167,44 @@ class SoftPlacement:
         return rest.pop()
 
 
-def _lex_rank(pool, subset) -> int:
-    """0-based rank of ``subset`` among lexicographic combinations of pool."""
-    ordered = sorted(pool)
-    for i, cand in enumerate(combinations(ordered, len(subset))):
-        if cand == tuple(subset):
-            return i
-    raise AssertionError(f"{subset} is not a subset of {pool}")
+def subfile_unit(h: int, k: int, t_u: int) -> int:
+    """Bits a part must be a multiple of: C(K, t_U) subfiles of whole-byte chunks."""
+    return 8 * comb(k, t_u) * chunk_count(h, k, t_u)
 
 
 def minimal_soft_file_bits(h: int, r: int, mu_r, mu_t) -> int:
     """Smallest file size (bits) giving whole-byte subfiles and chunks."""
-    from math import gcd, lcm
-
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
-    k = comb(h, r)
-    t_u_frac = mu_r * k
-    if t_u_frac.denominator != 1:
-        raise NonIntegralCacheParameter(f"mu_r*K = {t_u_frac} is not an integer")
-    t_u = int(t_u_frac)
-    chunks = comb(k - t_u - 1, h - 1) if t_u < k - h else 1
-    unit = 8 * comb(k, t_u) * chunks
-    need = 1
-    for frac in (mu_t, 1 - mu_t):
-        if frac == 0:
-            continue
-        # need frac*F divisible by unit
-        need = lcm(need, unit * frac.denominator // gcd(frac.numerator, unit * frac.denominator))
-    return need
+    unit = subfile_unit(h, comb(h, r), level("K", h, r, mu_r, mu_t))
+    return smallest_file_bits((mu_t, unit), (1 - mu_t, unit))
+
+
+def subfile_placement(lib: Library, t: NetworkTopology, t_u: int, mu_r, mu_t, part_bits) -> SoftPlacement:
+    """Subfile every nonzero part over the t_U-subsets of the UEs.
+
+    ``part_bits`` maps parts, in file-layout order, to their exact sizes in
+    bits; each must split into C(K, t_U) subfiles of ``chunk_count``
+    whole-byte chunks, or ``IndivisibleFileSize`` is raised.
+    """
+    n_subfiles, chunks = comb(t.k, t_u), chunk_count(t.h, t.k, t_u)
+    unit = subfile_unit(t.h, t.k, t_u)
+    part_bits = {p: bits for p, bits in part_bits.items() if bits}
+    for part, bits in part_bits.items():
+        if bits.denominator != 1 or bits.numerator % unit:
+            raise IndivisibleFileSize(
+                f"{part} part of {bits} bits does not split into {n_subfiles} subfiles "
+                f"of {chunks} whole-byte chunks"
+            )
+    return SoftPlacement(
+        library=lib,
+        topology=t,
+        t_u=t_u,
+        mu_r=mu_r,
+        mu_t=mu_t,
+        part_bits={p: int(bits) for p, bits in part_bits.items()},
+        subfile_bits={p: int(bits) // n_subfiles for p, bits in part_bits.items()},
+        chunk_count=chunks,
+    )
 
 
 def soft_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> SoftPlacement:
@@ -224,55 +234,14 @@ def soft_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> SoftPlacement:
         If either cache fraction leaves [0, 1].
     """
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
-    if not 0 <= mu_r <= 1 or not 0 <= mu_t <= 1:
-        raise OutOfRange(f"cache fractions must lie in [0,1]: mu_r={mu_r}, mu_t={mu_t}")
-    k, h = t.k, t.h
-    t_u_frac = mu_r * k
-    if t_u_frac.denominator != 1:
-        raise NonIntegralCacheParameter(
-            f"mu_r*K = {t_u_frac} is not an integer; use memory sharing for such points"
-        )
-    t_u = int(t_u_frac)
-
-    f_bits = lib.file_size_bits
-    local = mu_t * f_bits
-    if local.denominator != 1:
-        raise IndivisibleFileSize(f"mu_t*F = {local} is not a whole number of bits")
-    part_bits = {PART_LOCAL: int(local), PART_CLOUD: f_bits - int(local)}
-
-    n_subfiles = comb(k, t_u)
-    chunk_count = comb(k - t_u - 1, h - 1) if t_u < k - h else 1
-    subfile_bits = {}
-    for part, bits in part_bits.items():
-        if bits == 0:
-            continue
-        if bits % n_subfiles:
-            raise IndivisibleFileSize(
-                f"{part} part of {bits} bits does not split into {n_subfiles} subfiles"
-            )
-        sub = bits // n_subfiles
-        if sub % (8 * chunk_count):
-            raise IndivisibleFileSize(
-                f"subfile of {sub} bits does not split into {chunk_count} whole-byte chunks"
-            )
-        subfile_bits[part] = sub
-
-    return SoftPlacement(
-        library=lib,
-        topology=t,
-        t_u=t_u,
-        mu_r=mu_r,
-        mu_t=mu_t,
-        part_bits={p: b for p, b in part_bits.items() if b},
-        subfile_bits=subfile_bits,
-        chunk_count=chunk_count,
-    )
+    t_u = level("K", t.h, t.r, mu_r, mu_t)
+    local = mu_t * lib.file_size_bits
+    parts = {PART_LOCAL: local, PART_CLOUD: lib.file_size_bits - local}
+    return subfile_placement(lib, t, t_u, mu_r, mu_t, parts)
 
 
 def soft_missing(demand, placement: SoftPlacement) -> dict[int, tuple[SoftSubfileLabel, ...]]:
     """Per UE, the subfiles of its request absent from its cache (lex order)."""
-    from .mdsia import validate_demand
-
     t = placement.topology
     validate_demand(demand, t, placement.library.n_files)
     k = t.k
@@ -352,7 +321,7 @@ def chunked_step_count(h: int, k: int, t_u: int) -> int:
     C(K-t_U-1, H-1) chunks across K files, delivered H+t_U chunks at a time.
     """
     fresh = comb(k, t_u) - (comb(k - 1, t_u - 1) if t_u else 0)
-    total_chunks = fresh * comb(k - t_u - 1, h - 1) * k
+    total_chunks = fresh * chunk_count(h, k, t_u) * k
     assert total_chunks % (h + t_u) == 0, "step count must be integral"
     return total_chunks // (h + t_u)
 
@@ -563,13 +532,8 @@ def soft_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
     the fronthaul coefficient vanishes (mu_T = 1 or t_U = K).
     """
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
-    if not 0 <= mu_r <= 1 or not 0 <= mu_t <= 1:
-        raise OutOfRange(f"cache fractions must lie in [0,1]: mu_r={mu_r}, mu_t={mu_t}")
+    t_u = level("K", h, r, mu_r, mu_t)
     k = comb(h, r)
-    t_u_frac = mu_r * k
-    if t_u_frac.denominator != 1:
-        raise NonIntegralCacheParameter(f"mu_r*K = {t_u_frac} is not an integer")
-    t_u = int(t_u_frac)
 
     edge = Fraction(k - t_u, min(h + t_u, k))
     fronthaul_per_rho = (1 - mu_t) * Fraction(k - t_u, h)

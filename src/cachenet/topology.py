@@ -12,11 +12,12 @@ All indices on the public surface are 1-based.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidConnectivity, OutOfRange
+from .errors import DemandLengthMismatch, InvalidConnectivity, NonDistinctDemand, OutOfRange
 
 MAX_UES = 10**6
 
@@ -148,6 +149,23 @@ def _subset_lookup(t: NetworkTopology) -> dict[tuple[int, ...], int]:
         table = {ens: k for k, ens in enumerate(t.ue_to_ens, start=1)}
         _SUBSET_CACHE[key] = table
     return table
+
+
+def validate_demand(demand, t: NetworkTopology, n_files: int, warn_repeats: bool = True) -> list[int]:
+    """One requested file id in 1..n_files per UE; repeats only warn."""
+    demand = list(demand)
+    if len(demand) != t.k:
+        raise DemandLengthMismatch(f"demand length {len(demand)} != {t.k} UEs")
+    for d in demand:
+        if not 1 <= d <= n_files:
+            raise OutOfRange(f"file id {d} outside 1..{n_files}")
+    if warn_repeats and len(set(demand)) != len(demand):
+        warnings.warn(
+            "demand entries repeat; worst-case delivery-time guarantee void",
+            NonDistinctDemand,
+            stacklevel=3,
+        )
+    return demand
 
 
 def adjacency_lines(t: NetworkTopology) -> list[str]:

@@ -14,13 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from .channel import ChannelMatrix
-from .errors import (
-    IndivisibleFileSize,
-    NonIntegralCacheParameter,
-    OutOfRange,
-    ReconstructionMismatch,
-    RegionViolation,
-)
+from .combinatorics import level, smallest_file_bits
+from .errors import ReconstructionMismatch
 from .mdscode import Library
 from .ndt import NdtValue, as_fraction
 from .soft_transfer import (
@@ -30,6 +25,9 @@ from .soft_transfer import (
     _assemble,
     collect_deliveries,
     soft_schedule,
+    soft_structural_ndt,
+    subfile_placement,
+    subfile_unit,
 )
 from .topology import NetworkTopology
 from .verdict import RecoveryVerdict
@@ -42,20 +40,6 @@ class ZfParams:
     t_r: int
     w1_bits: int  # EN-resident prefix of every file
     w2_bits: int  # suffix cached whole at every UE
-
-
-def _zf_t_r(h: int, r: int, mu_r: Fraction, mu_t: Fraction) -> Fraction:
-    """(mu_r + mu_t - 1) * K / mu_t, with the mu_t = 0 limit by continuity."""
-    if not 0 <= mu_r <= 1 or not 0 <= mu_t <= 1:
-        raise OutOfRange(f"cache fractions must lie in [0,1]: mu_r={mu_r}, mu_t={mu_t}")
-    if mu_r + mu_t < 1:
-        raise RegionViolation(
-            f"cloud-free delivery needs mu_r + mu_t >= 1, got {mu_r} + {mu_t}"
-        )
-    k = comb(h, r)
-    if mu_t == 0:
-        return Fraction(k)  # region forces mu_r = 1: everything fits at the UEs
-    return (mu_r + mu_t - 1) * k / mu_t
 
 
 @dataclass(frozen=True)
@@ -86,22 +70,9 @@ class ZfPlacement:
 
 def minimal_zf_file_bits(h: int, r: int, mu_r, mu_t) -> int:
     """Smallest file size (bits) giving whole-byte prefix subfiles/chunks."""
-    from math import gcd, lcm
-
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
-    t_r_frac = _zf_t_r(h, r, mu_r, mu_t)
-    if t_r_frac.denominator != 1:
-        raise NonIntegralCacheParameter(f"t_R = {t_r_frac} is not an integer")
-    t_r = int(t_r_frac)
-    k = comb(h, r)
-    chunks = comb(k - t_r - 1, h - 1) if t_r < k - h else 1
-    unit = 8 * comb(k, t_r) * chunks
-    need = 8
-    for frac, scale in ((mu_t, unit), (1 - mu_t, 8)):
-        if frac == 0:
-            continue
-        need = lcm(need, scale * frac.denominator // gcd(frac.numerator, scale * frac.denominator))
-    return need
+    unit = subfile_unit(h, comb(h, r), level("ZF", h, r, mu_r, mu_t))
+    return smallest_file_bits((1, 8), (mu_t, unit))
 
 
 def zf_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> ZfPlacement:
@@ -121,45 +92,13 @@ def zf_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> ZfPlacement:
         If the prefix does not split into whole-byte subfiles (and chunks).
     """
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
-    t_r_frac = _zf_t_r(t.h, t.r, mu_r, mu_t)
-    if t_r_frac.denominator != 1:
-        raise NonIntegralCacheParameter(
-            f"t_R = {t_r_frac} is not an integer; use memory sharing for such points"
-        )
-    t_r = int(t_r_frac)
-    k, h = t.k, t.h
-
+    t_r = level("ZF", t.h, t.r, mu_r, mu_t)
     f_bits = lib.file_size_bits
-    w1 = mu_t * f_bits
-    if w1.denominator != 1 or int(w1) % 8:
-        raise IndivisibleFileSize(f"mu_t*F = {w1} is not a whole number of bytes")
-    w1 = int(w1)
-
-    n_subfiles = comb(k, t_r)
-    chunk_count = comb(k - t_r - 1, h - 1) if t_r < k - h else 1
-    subfile_bits = {}
-    if w1:
-        if w1 % n_subfiles:
-            raise IndivisibleFileSize(
-                f"prefix of {w1} bits does not split into {n_subfiles} subfiles"
-            )
-        sub = w1 // n_subfiles
-        if sub % (8 * chunk_count):
-            raise IndivisibleFileSize(
-                f"subfile of {sub} bits does not split into {chunk_count} whole-byte chunks"
-            )
-        subfile_bits[PART_LOCAL] = sub
-
-    view = SoftPlacement(
-        library=lib,
-        topology=t,
-        t_u=t_r,
-        mu_r=Fraction(t_r, k),
-        mu_t=Fraction(1),
-        part_bits={PART_LOCAL: w1} if w1 else {},
-        subfile_bits=subfile_bits,
-        chunk_count=chunk_count,
+    # the prefix is a pure-EN-part subset placement at level t_R
+    view = subfile_placement(
+        lib, t, t_r, Fraction(t_r, t.k), Fraction(1), {PART_LOCAL: mu_t * f_bits}
     )
+    w1 = view.part_bits.get(PART_LOCAL, 0)
     placement = ZfPlacement(
         library=lib,
         topology=t,
@@ -205,10 +144,7 @@ def zf_deliver(
 def zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:
     """Closed-form delivery time: mu_t*(K - t_R)/min(H + t_R, K), no fronthaul."""
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
-    t_r_frac = _zf_t_r(h, r, mu_r, mu_t)
-    if t_r_frac.denominator != 1:
-        raise NonIntegralCacheParameter(f"t_R = {t_r_frac} is not an integer")
-    t_r = int(t_r_frac)
+    t_r = level("ZF", h, r, mu_r, mu_t)
     k = comb(h, r)
     edge = mu_t * Fraction(k - t_r, min(h + t_r, k))
     branch = "degenerate" if mu_t == 0 else ("one-shot" if t_r >= k - h else "chunked")
@@ -217,8 +153,6 @@ def zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:
 
 def zf_structural_ndt(schedule: list[DeliveryStep], placement: ZfPlacement) -> NdtValue:
     """Delivery time re-derived from the scheduled bits; fronthaul must be 0."""
-    from .soft_transfer import soft_structural_ndt
-
     inner = soft_structural_ndt(schedule, placement.view, rho=None)
     assert inner.fronthaul == 0
     return NdtValue(

@@ -7,8 +7,13 @@ frozen. Tests compare the library against these, never the other way round.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import numpy as np
+
+import cachenet as cn
+from cachenet.errors import RegionViolation
 
 REDUCING_POLY = 0x11D
 
@@ -51,6 +56,49 @@ def elimination_rank(m: np.ndarray, tol: float = 1e-9) -> int:
                 a[other] -= a[other, col] * a[rank]
         rank += 1
     return rank
+
+
+def lex_rank(pool, subset) -> int:
+    """0-based rank of ``subset`` among lexicographic combinations of pool,
+    found by enumerating them."""
+    ordered = sorted(pool)
+    for i, cand in enumerate(combinations(ordered, len(subset))):
+        if cand == tuple(subset):
+            return i
+    raise AssertionError(f"{subset} is not a subset of {pool}")
+
+
+def rho_threshold_remark_form(h: int, r: int, mu_r, mu_t) -> Fraction:
+    """Closed-form variant of the threshold built from the sharing brackets.
+
+    Uses delta_i = (1 - mu_i)/(mu_i + 1/L) at the two sharing points of the
+    coded-multicast curve, with the combination weight read as the weight of
+    the LOWER bracket (the convention under which this form reproduces the
+    exact crossover on the region boundary t = 0 of the cloud-free scheme).
+    The library's general exact crossover is ``rho_threshold``.
+    """
+    mu_r = cn.as_fraction(mu_r)
+    mu_t = cn.as_fraction(mu_t)
+    if mu_r + mu_t < 1:
+        raise RegionViolation("threshold defined on the cloud-free region only")
+    l, k = comb(h - 1, r - 1), comb(h, r)
+    shared = cn.shared_mdsia_ndt(h, r, mu_r, mu_t, Fraction(1))
+    assert shared.sharing is not None
+    mu1, mu2 = shared.sharing.mu_hi, shared.sharing.mu_lo
+    alpha = 1 - shared.sharing.alpha  # weight of the lower bracket
+    if alpha == 0:
+        mu2, alpha = mu1, Fraction(1)
+
+    delta1 = (1 - mu1) / (mu1 + Fraction(1, l))
+    delta2 = (1 - mu2) / (mu2 + Fraction(1, l))
+    clamp = max(Fraction(0), 1 - mu_t * r)
+    numerator = clamp * (delta2 + (1 - alpha) / alpha * delta1)
+    denominator = (
+        Fraction(k, min(h, k)) * (mu_t * r / alpha)
+        - delta2 * ((r - 1) * (mu2 + Fraction(1, l)) + 1)
+        - delta1 * (1 / alpha - 1) * ((r - 1) * (mu1 + Fraction(1, l)) + 1)
+    )
+    return numerator / denominator
 
 
 #: hand-evaluated expected values, frozen before the implementation ran

@@ -124,6 +124,9 @@ def test_config_errors_exit_2(capsys):
     # bad sweep grid step
     assert main(["sweep", "--h", "5", "--r", "2", "--mu-r-grid", "0:1:0",
                  "--rhos", "1"]) == 2
+    # cache fractions outside [0, 1], on the sharing and the placement paths
+    assert main(["sweep", "--h", "5", "--r", "2", "--mu-r-list", "2", "--rhos", "1"]) == 2
+    assert main(["run", "--h", "5", "--r", "2", "--mu-r", "5/4", "--scheme", "mdsia"]) == 2
     capsys.readouterr()
 
 

@@ -9,7 +9,7 @@ import cachenet as cn
 from cachenet.errors import RegionViolation
 from cachenet.ndt import FRONTHAUL_FREE, argmin_key, memory_share
 
-from oracles import FROZEN
+from oracles import FROZEN, rho_threshold_remark_form
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_sharing_soft_curve():
 def test_threshold_value_and_remark_form_agree():
     th = cn.rho_threshold(5, 2, Fraction(7, 10), Fraction(3, 10))
     assert th == FROZEN["rho_threshold_5_2_07_03"]
-    assert cn.rho_threshold_remark_form(5, 2, Fraction(7, 10), Fraction(3, 10)) == th
+    assert rho_threshold_remark_form(5, 2, Fraction(7, 10), Fraction(3, 10)) == th
     # string inputs parse exactly
     assert cn.rho_threshold(5, 2, "0.7", "0.3") == th
 
