@@ -8,14 +8,24 @@ in one shot (one subfile per requested file per step); otherwise subfiles are
 further chunked so each chunk is nulled at H-1 UEs and scheduled only with
 chunks leaking onto the same excluded set. The cloud part rides the fronthaul
 as quantized transmit symbols, accounted as load only.
+
+Everything but the payload bytes depends only on the geometry (H, K, t_U)
+and the part sizes, so it is compiled once into a cached ``DeliveryPlan`` of
+index tables. Scheduling reads its steps from the plan; delivery looks every
+scheduled entry up in it, checks coverage and numerics on whole arrays, and
+assembles each UE's file with one gather per part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, repeat
 from math import comb
+from operator import attrgetter
+
+import numpy as np
 
 from .channel import (
     DESIRED_COEF_MIN,
@@ -25,7 +35,7 @@ from .channel import (
     ChannelMatrix,
     beamformers_for,
 )
-from .combinatorics import chunk_count, level, smallest_file_bits, subset_rank
+from .combinatorics import chunk_count, level, smallest_file_bits
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
@@ -45,7 +55,7 @@ PART_CLOUD = "cloud"
 PART_ORDER = (PART_LOCAL, PART_CLOUD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoftSubfileLabel:
     """A subfile (or chunk) coordinate: file, caching subset, part, null sets.
 
@@ -63,7 +73,7 @@ class SoftSubfileLabel:
 
     def base(self) -> "SoftSubfileLabel":
         """The placement-level identity, with delivery annotations dropped."""
-        return replace(self, pi=None, pi_prime=None)
+        return SoftSubfileLabel(self.file, self.subset, self.part)
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,229 @@ class DeliveryStep:
 
 CASE_ONE_SHOT = "one-shot"
 CASE_CHUNKED = "chunked"
+
+
+# ---------------------------------------------------------------------------
+# the compiled, payload-free delivery plan
+# ---------------------------------------------------------------------------
+
+
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False  # shared by every caller of the cache
+    return arr
+
+
+def _membership(sets, k: int) -> np.ndarray:
+    """(len(sets), K+1) table: entry [i, u] says UE u lies in sets[i]."""
+    table = np.zeros((len(sets), k + 1), dtype=bool)
+    for i, s in enumerate(sets):
+        table[i, list(s)] = True
+    return _frozen(table, bool)
+
+
+@dataclass(frozen=True)
+class DeliveryGeometry:
+    """Index tables of one (H, K, t): which pieces exist and how steps group them.
+
+    A *piece* is what one scheduled entry delivers: the chunk of rank
+    ``chunk`` of the subfile with subset rank ``subset`` that destination
+    ``dest`` misses, nulled at ``pi`` and sent beside the excluded set
+    ``pi_prime``. Subsets, null sets and excluded sets are interned tuples
+    in lexicographic order, addressed by rank. Pieces are found by the
+    integer key ``(pi * len(pi_primes) + pi_prime) * K + dest - 1``: the two
+    null sets and the destination pin the subset, which the lookup then
+    checks. Holds no labels and no bytes.
+    """
+
+    h: int
+    k: int
+    t: int
+    chunks: int
+    subsets: tuple[tuple[int, ...], ...]
+    subset_rank: dict = field(repr=False)
+    subset_member: np.ndarray = field(repr=False)
+    pis: tuple[tuple[int, ...], ...] = field(repr=False)
+    pi_index: dict = field(repr=False)
+    pi_member: np.ndarray = field(repr=False)
+    pi_primes: tuple[tuple[int, ...], ...] = field(repr=False)
+    pi_prime_index: dict = field(repr=False)
+    # pieces, sorted by key
+    piece_key: np.ndarray = field(repr=False)
+    piece_subset: np.ndarray = field(repr=False)
+    piece_chunk: np.ndarray = field(repr=False)
+    # the scheduler's steps of one part: (pi_prime, UEs, subsets, null sets)
+    steps: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple, tuple], ...] = field(repr=False)
+
+    @property
+    def case(self) -> str:
+        return CASE_ONE_SHOT if self.t >= self.k - self.h else CASE_CHUNKED
+
+    def piece_keys(self, ue, pi_id, pi_prime_id):
+        return (pi_id * len(self.pi_primes) + pi_prime_id) * self.k + ue - 1
+
+    def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Piece index of every key, and whether the key names a piece at all."""
+        if not len(self.piece_key):
+            return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+        at = np.minimum(np.searchsorted(self.piece_key, keys), len(self.piece_key) - 1)
+        return at, self.piece_key[at] == keys
+
+    def chunk_rank(self, dest: int, subset, pi, pi_prime) -> int | None:
+        """Chunk rank of one piece, or None if the coordinates name no piece."""
+        ids = (self.subset_rank.get(subset), self.pi_index.get(pi), self.pi_prime_index.get(pi_prime))
+        if None in ids or not 1 <= dest <= self.k:
+            return None
+        at, found = self.find(np.array([self.piece_keys(dest, ids[1], ids[2])]))
+        if not found[0] or self.piece_subset[at[0]] != ids[0]:
+            return None
+        return int(self.piece_chunk[at[0]])
+
+
+@lru_cache(maxsize=64)
+def delivery_geometry(h: int, k: int, t: int) -> DeliveryGeometry:
+    """Compile the pieces and step grouping of (H, K, t); cached per geometry.
+
+    The completeness of the grouping (every missing subfile delivered in
+    exactly ``chunk_count`` distinct chunks, each once) and its structural
+    soundness (every bystander of a step either nulls or caches each other
+    entry) are asserted here, once per geometry.
+    """
+    universe = range(1, k + 1)
+    subsets = tuple(combinations(universe, t))
+    subset_rank = {s: r for r, s in enumerate(subsets)}
+    one_shot = t >= k - h
+    width = k - 1 - t if one_shot else h - 1  # UEs each piece is nulled at
+    pis = tuple(combinations(universe, width)) if t < k else ()
+    pi_index = {p: i for i, p in enumerate(pis)}
+    pi_primes = ((),) if one_shot else tuple(combinations(universe, k - t - h))
+    pi_prime_index = {p: i for i, p in enumerate(pi_primes)}
+    chunks = chunk_count(h, k, t)
+    n_pp = len(pi_primes)
+
+    def key(ue, pi, pi_prime):
+        return (pi_index[pi] * n_pp + pi_prime_index[pi_prime]) * k + ue - 1
+
+    # pieces, enumerated destination-major with chunks in lexicographic order
+    keys, piece_subset, piece_chunk = [], [], []
+    for dest in universe:
+        for r, t_set in enumerate(subsets):
+            if dest in t_set:
+                continue
+            pool = [u for u in universe if u != dest and u not in t_set]
+            for c, pi in enumerate(combinations(pool, width)):
+                keys.append(key(dest, pi, tuple(u for u in pool if u not in pi)))
+                piece_subset.append(r)
+                piece_chunk.append(c)
+    fresh = comb(k, t) - (comb(k - 1, t - 1) if t else 0)
+    assert len(keys) == k * fresh * chunks
+    order = np.argsort(keys, kind="stable")
+    piece_key = np.asarray(keys, dtype=np.int64)[order]
+    assert np.all(piece_key[1:] > piece_key[:-1]), "piece keys must be unique"
+
+    # the scheduler's grouping of pieces into steps: (pi_prime, pool, [(UE, subset), ...])
+    grouping = []
+    if one_shot and t < k:
+        per_ue = {ue: [s for s in subsets if ue not in s] for ue in universe}
+        grouping = [((), universe, [(ue, per_ue[ue][s]) for ue in universe]) for s in range(fresh)]
+    elif not one_shot:
+        per_group = comb(h + t - 1, t)
+        for pi_prime in pi_primes:
+            served = [u for u in universe if u not in pi_prime]
+            choices = {ue: list(combinations([u for u in served if u != ue], t)) for ue in served}
+            assert all(len(c) == per_group for c in choices.values())
+            for s in range(per_group):
+                grouping.append((pi_prime, served, [(ue, choices[ue][s]) for ue in served]))
+        assert len(grouping) == chunked_step_count(h, k, t)
+    width_step = k if one_shot else h + t
+
+    def slot(pi_prime, pool, ue, t_set):
+        # nulled at every UE of the pool that neither receives nor caches it
+        pi = tuple(u for u in pool if u != ue and u not in t_set)
+        return pi_prime_index[pi_prime], ue, subset_rank[t_set], pi_index[pi]
+
+    table = np.array(
+        [[slot(pp, pool, ue, t_set) for ue, t_set in slots] for pp, pool, slots in grouping], dtype=np.int64
+    ).reshape(-1, width_step, 4)
+    step_pp, step_ue, step_subset, step_pi = table.transpose(2, 0, 1)
+
+    geometry = DeliveryGeometry(
+        h=h,
+        k=k,
+        t=t,
+        chunks=chunks,
+        subsets=subsets,
+        subset_rank=subset_rank,
+        subset_member=_membership(subsets, k),
+        pis=pis,
+        pi_index=pi_index,
+        pi_member=_membership(pis, k),
+        pi_primes=pi_primes,
+        pi_prime_index=pi_prime_index,
+        piece_key=_frozen(piece_key),
+        piece_subset=_frozen(np.asarray(piece_subset, dtype=np.int64)[order]),
+        piece_chunk=_frozen(np.asarray(piece_chunk, dtype=np.int64)[order]),
+        steps=tuple(
+            (pi_primes[pps[0]], tuple(ues), tuple(subsets[r] for r in srs), tuple(pis[p] for p in prs))
+            for pps, ues, srs, prs in zip(*(a.tolist() for a in (step_pp, step_ue, step_subset, step_pi)))
+        ),
+    )
+    if grouping:
+        # completeness: the steps hit every piece exactly once
+        at, found = geometry.find(geometry.piece_keys(step_ue, step_pi, step_pp))
+        assert found.all() and (geometry.piece_subset[at] == step_subset).all()
+        assert (np.bincount(at.ravel(), minlength=len(piece_key)) == 1).all(), "every piece once"
+        # soundness: bystander i of entry j's stream nulls it or caches it
+        by = step_ue[:, :, None]
+        ok = geometry.pi_member[step_pi[:, None, :], by] | geometry.subset_member[step_subset[:, None, :], by]
+        ok |= np.eye(width_step, dtype=bool)
+        assert ok.all(), "a bystander can neither null nor cancel a scheduled stream"
+    return geometry
+
+
+@dataclass(frozen=True)
+class DeliveryPlan:
+    """A compiled geometry plus the byte layout of one set of part sizes.
+
+    Per part (in file-layout order): its first byte, subfile bytes and chunk
+    bytes. Bytes ``[first, first + C(K, t) * subfile)`` of every file are
+    ``C(K, t) * chunks`` chunk slots, slot ``subset_rank * chunks + chunk``;
+    ``cached[u - 1, slot]`` says UE u holds that slot of every part of every
+    file, and must receive it otherwise.
+    """
+
+    geometry: DeliveryGeometry
+    parts: tuple[str, ...]
+    layout: tuple[tuple[int, int, int], ...]
+    cached: np.ndarray = field(repr=False)
+
+    @property
+    def slots(self) -> int:
+        return self.cached.shape[1]
+
+
+@lru_cache(maxsize=128)
+def delivery_plan(h: int, k: int, t: int, part_bits: tuple[tuple[str, int], ...]) -> DeliveryPlan:
+    """The cached plan of geometry (H, K, t) with ``part_bits`` = ((part, bits), ...)."""
+    geometry = delivery_geometry(h, k, t)
+    n_sub, chunks = len(geometry.subsets), geometry.chunks
+    layout, first = [], 0
+    for _, bits in part_bits:
+        sub = bits // 8 // n_sub
+        assert sub * n_sub * 8 == bits and sub % chunks == 0, "parts must split into whole-byte chunks"
+        layout.append((first, sub, sub // chunks))
+        first += bits // 8
+    return DeliveryPlan(
+        geometry=geometry,
+        parts=tuple(p for p, _ in part_bits),
+        layout=tuple(layout),
+        cached=_frozen(np.repeat(geometry.subset_member[:, 1:].T, chunks, axis=1), bool),
+    )
+
+
+# ---------------------------------------------------------------------------
+# placement
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -114,11 +347,14 @@ class SoftPlacement:
     def case(self) -> str:
         return CASE_ONE_SHOT if self.t_u >= self.topology.k - self.topology.h else CASE_CHUNKED
 
+    @cached_property
+    def plan(self) -> DeliveryPlan:
+        """The compiled delivery plan of this geometry and these part sizes."""
+        t = self.topology
+        return delivery_plan(t.h, t.k, self.t_u, tuple((p, self.part_bits[p]) for p in self.parts))
+
     def chunk_bits(self, part: str) -> int:
         return self.subfile_bits[part] // self.chunk_count
-
-    def is_cached_at_ue(self, label: SoftSubfileLabel, ue: int) -> bool:
-        return ue in label.subset
 
     def ue_cache_labels(self, ue: int):
         """All subfile labels cached at ``ue``, file-major then subset-lex."""
@@ -137,33 +373,28 @@ class SoftPlacement:
     def en_cache_bits(self) -> int:
         return self.library.n_files * self.part_bits.get(PART_LOCAL, 0)
 
-    def _part_span(self, part: str) -> tuple[int, int]:
-        local = self.part_bits.get(PART_LOCAL, 0)
-        return (0, local) if part == PART_LOCAL else (local, self.library.file_size_bits)
-
     def subfile_payload(self, label: SoftSubfileLabel) -> bytes:
         """The exact bytes of one subfile (annotations ignored)."""
-        start_bit, _ = self._part_span(label.part)
-        size = self.subfile_bits[label.part]
-        rank = subset_rank(label.subset, range(1, self.topology.k + 1))
-        lo = (start_bit + rank * size) // 8
-        return self.library.file(label.file)[lo : lo + size // 8]
+        plan = self.plan
+        first, size, _ = plan.layout[plan.parts.index(label.part)]
+        lo = first + plan.geometry.subset_rank[label.subset] * size
+        return self.library.file(label.file)[lo : lo + size]
 
     def chunk_payload(self, label: SoftSubfileLabel) -> bytes:
         """The exact bytes of one chunk of an under-provisioned delivery."""
-        assert label.pi is not None and label.pi_prime is not None
+        plan = self.plan
         dest = self.chunk_destination(label)
-        pool = [u for u in range(1, self.topology.k + 1) if u != dest and u not in label.subset]
-        rank = subset_rank(label.pi, pool)
-        size = self.chunk_bits(label.part)
-        sub = self.subfile_payload(label)
-        lo = rank * size // 8
-        return sub[lo : lo + size // 8]
+        rank = plan.geometry.chunk_rank(dest, label.subset, label.pi, label.pi_prime)
+        if rank is None:
+            raise ReconstructionMismatch(f"{label} is not a chunk of this delivery geometry")
+        size = plan.layout[plan.parts.index(label.part)][2]
+        return self.subfile_payload(label)[rank * size : (rank + 1) * size]
 
     def chunk_destination(self, label: SoftSubfileLabel) -> int:
         """The single UE not covered by subset, pi, or pi_prime."""
         rest = set(range(1, self.topology.k + 1)) - set(label.subset) - set(label.pi) - set(label.pi_prime)
-        assert len(rest) == 1, "chunk coordinates must pin a unique destination"
+        if len(rest) != 1:
+            raise ReconstructionMismatch(f"{label}: chunk coordinates must pin a unique destination")
         return rest.pop()
 
 
@@ -257,6 +488,11 @@ def soft_missing(demand, placement: SoftPlacement) -> dict[int, tuple[SoftSubfil
     return out
 
 
+# ---------------------------------------------------------------------------
+# scheduling
+# ---------------------------------------------------------------------------
+
+
 def soft_schedule(demand, placement: SoftPlacement, t: NetworkTopology) -> list[DeliveryStep]:
     """Order the missing subfiles into simultaneous beamformed steps.
 
@@ -267,50 +503,23 @@ def soft_schedule(demand, placement: SoftPlacement, t: NetworkTopology) -> list[
     bystanders; a step bundles, for one excluded set pi_prime, the rank-s
     admissible subset of every UE outside pi_prime.
 
-    Step counts are asserted against the closed forms.
+    The steps come from the compiled geometry, whose step counts and
+    completeness are asserted when it is compiled.
     """
     assert t.k == placement.topology.k and t.h == placement.topology.h
-    k, h, t_u = t.k, t.h, placement.t_u
-    missing = soft_missing(demand, placement)
-    universe = range(1, k + 1)
+    validate_demand(demand, t, placement.library.n_files)
+    g = delivery_geometry(t.h, t.k, placement.t_u)
     steps: list[DeliveryStep] = []
-
-    if placement.t_u == k:
-        assert all(not v for v in missing.values())
-        return steps
-
-    if placement.case == CASE_ONE_SHOT:
-        per_ue = {
-            ue: [t_set for t_set in combinations(universe, t_u) if ue not in t_set]
-            for ue in universe
-        }
-        n_steps = comb(k, t_u) - (comb(k - 1, t_u - 1) if t_u else 0)
-        for part in placement.parts:
-            for s in range(n_steps):
-                entries = []
-                for ue in universe:
-                    t_set = per_ue[ue][s]
-                    pi = tuple(u for u in universe if u != ue and u not in t_set)
-                    entries.append(
-                        (ue, SoftSubfileLabel(demand[ue - 1], t_set, part, pi=pi, pi_prime=()))
-                    )
-                steps.append(
-                    DeliveryStep(len(steps) + 1, CASE_ONE_SHOT, part, tuple(entries), ())
-                )
-    else:
-        geometry = chunked_step_geometry(h, k, t_u)
-        for part in placement.parts:
-            for pi_prime, triples in geometry:
-                entries = tuple(
-                    (ue, SoftSubfileLabel(demand[ue - 1], t_set, part, pi=pi, pi_prime=pi_prime))
-                    for ue, t_set, pi in triples
-                )
-                steps.append(
-                    DeliveryStep(len(steps) + 1, CASE_CHUNKED, part, entries, pi_prime)
-                )
-        assert len(steps) == len(placement.parts) * chunked_step_count(h, k, t_u)
-
-    _assert_complete(steps, missing, placement)
+    case = g.case
+    for part in placement.parts:
+        for pi_prime, ues, t_sets, pis in g.steps:
+            entries = tuple(
+                [
+                    (ue, SoftSubfileLabel(demand[ue - 1], t_set, part, pi, pi_prime))
+                    for ue, t_set, pi in zip(ues, t_sets, pis)
+                ]
+            )
+            steps.append(DeliveryStep(len(steps) + 1, case, part, entries, pi_prime))
     return steps
 
 
@@ -337,54 +546,236 @@ def chunked_step_geometry(
     needs no concrete topology, only the counts.
     """
     assert 0 <= t_u < k - h, "chunked regime needs t_U < K - H"
-    universe = range(1, k + 1)
-    per_group = comb(h + t_u - 1, t_u)
-    out = []
-    for pi_prime in combinations(universe, k - t_u - h):
-        served = [u for u in universe if u not in pi_prime]
-        choices = {
-            ue: list(combinations([u for u in served if u != ue], t_u)) for ue in served
-        }
-        assert all(len(c) == per_group for c in choices.values())
-        for s in range(per_group):
-            triples = []
-            for ue in served:
-                t_set = choices[ue][s]
-                pi = tuple(
-                    u for u in universe if u != ue and u not in t_set and u not in pi_prime
-                )
-                assert len(pi) == h - 1
-                triples.append((ue, t_set, pi))
-            assert len(triples) == h + t_u
-            out.append((pi_prime, triples))
-    assert len(out) == chunked_step_count(h, k, t_u)
-    return out
+    return [(pi_prime, list(zip(*row))) for pi_prime, *row in delivery_geometry(h, k, t_u).steps]
 
 
-def _assert_complete(steps, missing, placement) -> None:
-    """Every missing label delivered exactly once (chunks cover subfiles)."""
-    per_ue: dict[int, list[SoftSubfileLabel]] = {ue: [] for ue in missing}
-    seen = set()
-    for step in steps:
-        for ue, lab in step.entries:
-            assert (ue, lab) not in seen, "duplicate delivery"
-            seen.add((ue, lab))
-            per_ue[ue].append(lab)
-    for ue, labs in per_ue.items():
-        bases = [lab.base() for lab in labs]
-        want = list(missing[ue])
-        if placement.case == CASE_ONE_SHOT:
-            assert sorted(bases, key=_label_key) == sorted(want, key=_label_key)
-        else:
-            from collections import Counter
-
-            counts = Counter(bases)
-            assert all(c == placement.chunk_count for c in counts.values())
-            assert sorted(counts, key=_label_key) == sorted(want, key=_label_key)
+# ---------------------------------------------------------------------------
+# delivery: locate every entry, check coverage and numerics, gather
+# ---------------------------------------------------------------------------
 
 
-def _label_key(lab: SoftSubfileLabel):
-    return (lab.part, lab.file, lab.subset)
+@dataclass(frozen=True)
+class _Located:
+    """Every entry of a schedule resolved against the plan, in schedule order."""
+
+    plan: DeliveryPlan
+    schedule: list
+    entries: list  # the (ue, label) pairs
+    step: np.ndarray  # position of the entry's step in the schedule
+    ue: np.ndarray
+    file: np.ndarray
+    part: np.ndarray  # index into plan.parts
+    slot: np.ndarray  # chunk slot within the part
+    subset: np.ndarray  # subset rank
+    pi: np.ndarray  # null-set id
+
+    def name(self, i: int) -> str:
+        ue, lab = self.entries[i]
+        return f"step {self.schedule[self.step[i]].index}: UE {ue} <- {lab}"
+
+    def covering(self, ue: int, part: int, slot: int) -> list[int]:
+        return np.flatnonzero((self.ue == ue) & (self.part == part) & (self.slot == slot)).tolist()
+
+
+def _locate(schedule, placement: SoftPlacement) -> _Located:
+    """Map every scheduled entry to its chunk slot, from the entry's own label.
+
+    Raises ``ReconstructionMismatch`` for the first entry that names no piece
+    its UE misses (wrong UE, subset, null sets, part or file id).
+    """
+    plan = placement.plan
+    g = plan.geometry
+    entries = [e for step in schedule for e in step.entries]
+    n = len(entries)
+    ues, labs = zip(*entries) if n else ((), ())
+    part_index = {p: i for i, p in enumerate(plan.parts)}
+
+    def column(name, index=None):
+        values = map(attrgetter(name), labs)
+        if index is not None:
+            values = map(index.get, values, repeat(-1))
+        return np.fromiter(values, dtype=np.int64, count=n)
+
+    ue = np.array(ues, dtype=np.int64)
+    file, part_id, subset = column("file"), column("part", part_index), column("subset", g.subset_rank)
+    pi_id, pp_id = column("pi", g.pi_index), column("pi_prime", g.pi_prime_index)
+    step = np.repeat(np.arange(len(schedule)), [len(s.entries) for s in schedule])
+
+    ok = (ue >= 1) & (ue <= g.k) & (file >= 1) & (file <= placement.library.n_files)
+    ok &= (part_id >= 0) & (subset >= 0) & (pi_id >= 0) & (pp_id >= 0)
+    at, found = g.find(np.where(ok, g.piece_keys(ue, pi_id, pp_id), -1))
+    ok &= found
+    ok[ok] = g.piece_subset[at[ok]] == subset[ok]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ReconstructionMismatch(
+            f"step {schedule[step[i]].index}: UE {ues[i]} <- {labs[i]}: no missing piece of the "
+            f"(H, K, t) = ({g.h}, {g.k}, {g.t}) delivery of parts {plan.parts} has these coordinates"
+        )
+    return _Located(
+        plan=plan,
+        schedule=schedule,
+        entries=entries,
+        step=step,
+        ue=ue,
+        file=file,
+        part=part_id,
+        slot=subset * g.chunks + g.piece_chunk[at],
+        subset=subset,
+        pi=pi_id,
+    )
+
+
+def _check_coverage(loc: _Located, demand=None) -> None:
+    """Cache plus deliveries fill every chunk slot of every UE exactly once."""
+    plan, g = loc.plan, loc.plan.geometry
+    n_slots = plan.slots
+    for i in range(len(plan.parts)):
+        mine = loc.part == i
+        counts = plan.cached.astype(np.int64).ravel()
+        counts += np.bincount((loc.ue[mine] - 1) * n_slots + loc.slot[mine], minlength=g.k * n_slots)
+        if (counts != 1).any():
+            flat = int(np.flatnonzero(counts != 1)[0])
+            ue, slot = flat // n_slots + 1, flat % n_slots
+            subset = g.subsets[slot // g.chunks]
+            what = f"chunk {slot % g.chunks} of the {plan.parts[i]} subfile subset={subset}"
+            what += f" of file {demand[ue - 1]}" if demand is not None else ""
+            hits = loc.covering(ue, i, slot)
+            if not hits:
+                raise ReconstructionMismatch(f"UE {ue}: no step delivers {what}")
+            raise ReconstructionMismatch(
+                f"{loc.name(hits[1])}: UE {ue} already got {what} in {loc.name(hits[0])}"
+            )
+
+
+def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
+    """Beamform every step on ``ch`` and check it from one gain matrix.
+
+    Per entry, the desired coefficient clears ``DESIRED_COEF_MIN``; per
+    ordered pair of entries in a step, the other stream is nulled at the
+    receiving UE (residual at most ``ZF_RESIDUAL_TOL``) or cached there.
+    Every coefficient depends only on (UE, beam), so ``|H @ beams|`` holds
+    them all. Raises ``InterferenceLeak`` naming the first failing step.
+    """
+    g, schedule = loc.plan.geometry, loc.schedule
+    mode = SUM_OF_BASIS if g.case == CASE_ONE_SHOT else SINGLE_NULL
+    # one beam per null set, in first-use order, floor-checked only at the
+    # UEs scheduled to decode it: bystanders may sit in a structural null
+    used, first = np.unique(loc.pi, return_index=True)
+    used = used[np.argsort(first)]
+    receivers = {g.pis[p]: set() for p in used.tolist()}
+    for code in np.unique(loc.pi * (g.k + 1) + loc.ue).tolist():
+        receivers[g.pis[code // (g.k + 1)]].add(code % (g.k + 1))
+    beams, ch, _ = beamformers_for(ch, receivers, mode, receivers_by_set=receivers)
+    column = np.zeros(len(g.pis), dtype=np.int64)
+    column[used] = np.arange(len(used))
+    gain = np.abs(ch.matrix @ np.stack([beams[g.pis[p]].vector for p in used.tolist()], axis=1))
+    beam = column[loc.pi]
+
+    bad_steps = [loc.step[gain[loc.ue - 1, beam] < DESIRED_COEF_MIN]]
+    # ordered pairs (receiving entry i, other entry j) within each step
+    sizes = np.bincount(loc.step, minlength=len(schedule))
+    starts = np.cumsum(sizes) - sizes
+    reps = sizes[loc.step]
+    i = np.repeat(np.arange(len(loc.ue)), reps)
+    j = starts[loc.step[i]] + np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
+    by, other = loc.ue[i], loc.ue[j]
+    i, j, by = i[by != other], j[by != other], by[by != other]
+    nulled = g.pi_member[loc.pi[j], by]
+    leak = np.where(nulled, gain[by - 1, beam[j]] > ZF_RESIDUAL_TOL, ~g.subset_member[loc.subset[j], by])
+    bad_steps.append(loc.step[i[leak]])
+    bad_steps.append(
+        [s for s, step in enumerate(schedule) if not {ue for ue, _ in step.entries}.isdisjoint(step.pi_prime)]
+    )
+    bad = np.concatenate([np.asarray(b, dtype=np.int64) for b in bad_steps])
+    if not len(bad):
+        return
+
+    # report the first failing step as a per-entry scan would meet it
+    s = int(bad.min())
+    step = schedule[s]
+    span = range(starts[s], starts[s] + sizes[s])
+    for e in span:
+        ue = int(loc.ue[e])
+        own = gain[ue - 1, beam[e]]
+        if own < DESIRED_COEF_MIN:
+            raise InterferenceLeak(f"step {step.index}: UE {ue} desired coefficient {own:.2e}")
+        for o in span:
+            if loc.ue[o] == ue:
+                continue
+            olab = loc.entries[o][1]
+            coef = gain[ue - 1, beam[o]]
+            if g.pi_member[loc.pi[o], ue]:
+                if coef > ZF_RESIDUAL_TOL:
+                    raise InterferenceLeak(f"step {step.index}: residual {coef:.2e} at UE {ue} for {olab}")
+            elif not g.subset_member[loc.subset[o], ue]:
+                raise InterferenceLeak(f"step {step.index}: UE {ue} can neither null nor cancel {olab}")
+    raise InterferenceLeak(f"step {step.index}: a served UE lies in the excluded set {step.pi_prime}")
+
+
+def _deliver(schedule, ch: ChannelMatrix | None, placement: SoftPlacement, demand=None) -> _Located:
+    """What soft_simulate, collect_deliveries and zf_deliver share: locate, cover, beamform.
+
+    ``demand``, when known, only names the requested file in errors.
+    """
+    loc = _locate(schedule, placement)
+    _check_coverage(loc, demand)
+    if ch is not None and len(loc.ue):
+        _check_numerics(loc, ch)
+    return loc
+
+
+def _assemble(loc: _Located, placement: SoftPlacement, demand) -> np.ndarray:
+    """Every UE's copy of its requested file over the plan's parts, one row per UE.
+
+    One gather per part: slots default to the UE's own cached copy, and each
+    delivered slot is read from the file its entry names.
+    """
+    plan, lib = loc.plan, placement.library
+    k = plan.geometry.k
+    files = np.frombuffer(b"".join(lib.contents), dtype=np.uint8).reshape(lib.n_files, -1)
+    want = np.asarray(demand, dtype=np.int64) - 1
+    pieces = []
+    n_slots = plan.slots
+    for i, (first, _, chunk) in enumerate(plan.layout):
+        region = files[:, first : first + n_slots * chunk].reshape(-1, chunk)
+        src = want[:, None] * n_slots + np.arange(n_slots)
+        mine = loc.part == i
+        src[loc.ue[mine] - 1, loc.slot[mine]] = (loc.file[mine] - 1) * n_slots + loc.slot[mine]
+        pieces.append(region[src].reshape(k, n_slots * chunk))
+    return np.concatenate(pieces, axis=1) if pieces else np.zeros((k, 0), dtype=np.uint8)
+
+
+def _mismatch(loc: _Located, ue: int, want: int, expected: bytes, got: np.ndarray) -> ReconstructionMismatch:
+    """Name the entry behind the first wrong byte of UE ``ue``'s file."""
+    wrong = np.flatnonzero(got != np.frombuffer(expected[: len(got)], dtype=np.uint8))
+    byte = int(wrong[0]) if len(wrong) else len(got)
+    source = "its cache"
+    for i, (first, _, chunk) in enumerate(loc.plan.layout):
+        if first <= byte < first + loc.plan.slots * chunk:
+            hits = loc.covering(ue, i, (byte - first) // chunk)
+            source = loc.name(hits[0]) if hits else source
+    return ReconstructionMismatch(f"UE {ue} rebuilt file {want} incorrectly: byte {byte} from {source}")
+
+
+def _verify(loc: _Located, placement: SoftPlacement, demand, suffix=None) -> list[RecoveryVerdict]:
+    """Assemble every UE's file and byte-compare it with the library copy.
+
+    ``suffix(file)`` supplies bytes past the plan's parts (the cloud-free
+    scheme's whole-cached suffix). Returns one ok-verdict per UE.
+    """
+    lib = placement.library
+    demand = validate_demand(demand, placement.topology, lib.n_files, warn_repeats=False)
+    blobs = _assemble(loc, placement, demand)
+    counts = np.bincount(loc.ue, minlength=loc.plan.geometry.k + 1)
+    verdicts = []
+    for ue in range(1, loc.plan.geometry.k + 1):
+        want = demand[ue - 1]
+        blob = blobs[ue - 1].tobytes() + (suffix(want) if suffix else b"")
+        if blob != lib.file(want):
+            raise _mismatch(loc, ue, want, lib.file(want), blobs[ue - 1])
+        verdicts.append(RecoveryVerdict(ue=ue, file_id=want, ok=True, note=f"{counts[ue]} deliveries"))
+    return verdicts
 
 
 def soft_simulate(
@@ -395,12 +786,14 @@ def soft_simulate(
 ) -> list[RecoveryVerdict]:
     """Drive the schedule and verify decodability and bit-exact recovery.
 
-    With a channel, beamformers are built per distinct null set (degenerate
-    draws redrawn deterministically) and every step is checked numerically:
-    desired coefficients stay above the decodability floor, nulled
-    coefficients below the residual tolerance, and any bystander must hold
-    the subfile in cache. With ``ch=None`` the numeric layer is skipped and
-    only the combinatorial/bit layer runs (the geometry is channel-free).
+    Every entry is located in the compiled plan from its own label, and
+    cache plus deliveries must fill every chunk slot of every UE exactly
+    once. With a channel, beamformers are built per distinct null set
+    (degenerate draws redrawn deterministically) and every step is checked
+    numerically: desired coefficients stay above the decodability floor,
+    nulled coefficients below the residual tolerance, and any bystander must
+    hold the subfile in cache. With ``ch=None`` the numeric layer is skipped
+    and only the combinatorial/bit layer runs (the geometry is channel-free).
 
     Returns one ok-verdict per UE; failures raise.
 
@@ -409,18 +802,12 @@ def soft_simulate(
     InterferenceLeak
         A step exposes a UE to a subfile it neither caches nor can null.
     ReconstructionMismatch
-        Assembled bytes differ from the requested file.
+        An entry names no missing piece, a piece is delivered twice or not
+        at all, or assembled bytes differ from the requested file.
+    OutOfRange, DemandLengthMismatch
+        The demand names a file outside the library or has the wrong length.
     """
-    k = placement.topology.k
-    got = collect_deliveries(schedule, ch, placement)
-    verdicts = []
-    for ue in range(1, k + 1):
-        want = demand[ue - 1]
-        blob = _assemble(ue, want, placement, got[ue])
-        if blob != placement.library.file(want):
-            raise ReconstructionMismatch(f"UE {ue} rebuilt file {want} incorrectly")
-        verdicts.append(RecoveryVerdict(ue=ue, file_id=want, ok=True, note=f"{len(got[ue])} deliveries"))
-    return verdicts
+    return _verify(_deliver(schedule, ch, placement, demand), placement, demand)
 
 
 def collect_deliveries(
@@ -430,86 +817,22 @@ def collect_deliveries(
 ) -> dict[int, dict[SoftSubfileLabel, bytes]]:
     """Run every step, returning the exact bytes each UE walks away with.
 
-    Builds one beamformer per distinct null set when a channel is supplied
-    (redrawing deterministically on degenerate draws) and applies the
-    per-step numeric interference checks; ``ch=None`` skips the numeric
-    layer. Shared by the cloud-assisted and cloud-free delivery drivers.
+    Locates every entry in the compiled plan and checks coverage; with a
+    channel, also builds one beamformer per distinct null set (redrawing
+    deterministically on degenerate draws) and applies the per-step numeric
+    interference checks. ``ch=None`` skips the numeric layer.
     """
-    k = placement.topology.k
-    mode = SUM_OF_BASIS if placement.case == CASE_ONE_SHOT else SINGLE_NULL
-    beams = {}
-    if ch is not None:
-        # floor-check each beam only at the UEs scheduled to decode it;
-        # bystanders may sit in a structural null of the connectivity graph
-        receivers: dict[tuple[int, ...], set[int]] = {}
-        for step in schedule:
-            for ue, lab in step.entries:
-                receivers.setdefault(tuple(sorted(lab.pi)), set()).add(ue)
-        beams, ch, _ = beamformers_for(ch, receivers, mode, receivers_by_set=receivers)
-
-    got: dict[int, dict[SoftSubfileLabel, bytes]] = {ue: {} for ue in range(1, k + 1)}
-    for step in schedule:
-        if ch is not None:
-            _check_step_numerics(step, ch, beams, placement)
-        for ue, lab in step.entries:
-            payload = (
-                placement.subfile_payload(lab)
-                if step.case == CASE_ONE_SHOT
-                else placement.chunk_payload(lab)
-            )
-            got[ue][lab] = payload
+    loc = _deliver(schedule, ch, placement)
+    layout = loc.plan.layout
+    first = np.array([f for f, _, _ in layout], dtype=np.int64)[loc.part]
+    chunk = np.array([c for _, _, c in layout], dtype=np.int64)[loc.part]
+    lo = (first + loc.slot * chunk).tolist()
+    hi = (first + (loc.slot + 1) * chunk).tolist()
+    contents = placement.library.contents
+    got: dict[int, dict[SoftSubfileLabel, bytes]] = {ue: {} for ue in range(1, placement.topology.k + 1)}
+    for (ue, lab), a, b in zip(loc.entries, lo, hi):
+        got[ue][lab] = contents[lab.file - 1][a:b]
     return got
-
-
-def _check_step_numerics(step, ch, beams, placement) -> None:
-    served = {ue for ue, _ in step.entries}
-    for ue, lab in step.entries:
-        own = abs(ch.row(ue) @ beams[lab.pi].vector)
-        if own < DESIRED_COEF_MIN:
-            raise InterferenceLeak(f"step {step.index}: UE {ue} desired coefficient {own:.2e}")
-        for other, olab in step.entries:
-            if other == ue:
-                continue
-            coef = abs(ch.row(ue) @ beams[olab.pi].vector)
-            if ue in olab.pi:
-                if coef > ZF_RESIDUAL_TOL:
-                    raise InterferenceLeak(
-                        f"step {step.index}: residual {coef:.2e} at UE {ue} for {olab}"
-                    )
-            elif not placement.is_cached_at_ue(olab, ue):
-                raise InterferenceLeak(
-                    f"step {step.index}: UE {ue} can neither null nor cancel {olab}"
-                )
-    assert served.isdisjoint(step.pi_prime)
-
-
-def _assemble(ue: int, file_id: int, placement: SoftPlacement, delivered) -> bytes:
-    """Reconstruct the file from cache plus delivered subfiles/chunks."""
-    k = placement.topology.k
-    by_base: dict[SoftSubfileLabel, list[SoftSubfileLabel]] = {}
-    for lab in delivered:
-        by_base.setdefault(lab.base(), []).append(lab)
-
-    pieces = []
-    for part in placement.parts:
-        for t_set in combinations(range(1, k + 1), placement.t_u):
-            base = SoftSubfileLabel(file=file_id, subset=t_set, part=part)
-            if ue in t_set:
-                pieces.append(placement.subfile_payload(base))
-            elif placement.case == CASE_ONE_SHOT:
-                pieces.append(delivered[replace_annotations(base, ue, placement)])
-            else:
-                chunks = sorted(by_base[base], key=lambda l: l.pi)
-                assert len(chunks) == placement.chunk_count
-                pieces.append(b"".join(delivered[c] for c in chunks))
-    return b"".join(pieces)
-
-
-def replace_annotations(base: SoftSubfileLabel, ue: int, placement: SoftPlacement) -> SoftSubfileLabel:
-    """Re-attach the one-shot regime's forced null annotation to a base label."""
-    k = placement.topology.k
-    pi = tuple(u for u in range(1, k + 1) if u != ue and u not in base.subset)
-    return replace(base, pi=pi, pi_prime=())
 
 
 def soft_fronthaul_bits_per_en(placement: SoftPlacement) -> Fraction:
@@ -559,18 +882,19 @@ def soft_structural_ndt(schedule: list[DeliveryStep], placement: SoftPlacement, 
 
     Edge: sum of per-step durations (bits served per UE in that step over
     F). Fronthaul: per-EN quantized-symbol bits, counted from the scheduled
-    cloud-part entries, over F*rho. Must equal ``soft_ndt`` exactly.
+    cloud-part entries, over F*rho. Must equal ``soft_ndt`` exactly. Bits
+    are summed as integers; each term is one exact ``Fraction``.
     """
     f_bits = placement.library.file_size_bits
-    edge = Fraction(0)
+    piece_bits = {
+        CASE_ONE_SHOT: placement.subfile_bits,
+        CASE_CHUNKED: {p: placement.chunk_bits(p) for p in placement.subfile_bits},
+    }
+    edge_bits = 0
     cloud_bits = 0
     for step in schedule:
-        bits = (
-            placement.subfile_bits[step.part]
-            if step.case == CASE_ONE_SHOT
-            else placement.chunk_bits(step.part)
-        )
-        edge += Fraction(bits, f_bits)
+        bits = piece_bits[step.case][step.part]
+        edge_bits += bits
         if step.part == PART_CLOUD:
             cloud_bits += bits * len(step.entries)
     per_en = Fraction(cloud_bits, placement.topology.h)
@@ -580,6 +904,7 @@ def soft_structural_ndt(schedule: list[DeliveryStep], placement: SoftPlacement, 
     else:
         rho = as_fraction(rho)
         fronthaul = per_en / (f_bits * rho)
+    edge = Fraction(edge_bits, f_bits)
     return NdtValue(
         total=edge + fronthaul,
         fronthaul=fronthaul,

@@ -15,15 +15,14 @@ from math import comb
 
 from .channel import ChannelMatrix
 from .combinatorics import level, smallest_file_bits
-from .errors import ReconstructionMismatch
 from .mdscode import Library
 from .ndt import NdtValue, as_fraction
 from .soft_transfer import (
     PART_LOCAL,
     DeliveryStep,
     SoftPlacement,
-    _assemble,
-    collect_deliveries,
+    _deliver,
+    _verify,
     soft_schedule,
     soft_structural_ndt,
     subfile_placement,
@@ -125,20 +124,9 @@ def zf_deliver(
     and cached prefix subfiles with its whole-suffix cache copy. No
     fronthaul messages exist anywhere on this path.
     """
-    view = placement.view
-    schedule = soft_schedule(demand, view, t)
-    got = collect_deliveries(schedule, ch, view)
-    verdicts = []
-    for ue in range(1, t.k + 1):
-        want = demand[ue - 1]
-        prefix = _assemble(ue, want, view, got[ue]) if placement.params.w1_bits else b""
-        full = prefix + placement.w2_payload(want)
-        if full != placement.library.file(want):
-            raise ReconstructionMismatch(f"UE {ue} rebuilt file {want} incorrectly")
-        verdicts.append(
-            RecoveryVerdict(ue=ue, file_id=want, ok=True, note=f"{len(got[ue])} deliveries")
-        )
-    return schedule, verdicts
+    schedule = soft_schedule(demand, placement.view, t)
+    loc = _deliver(schedule, ch, placement.view, demand)
+    return schedule, _verify(loc, placement.view, demand, suffix=placement.w2_payload)
 
 
 def zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:

@@ -101,6 +101,43 @@ def rho_threshold_remark_form(h: int, r: int, mu_r, mu_t) -> Fraction:
     return numerator / denominator
 
 
+def assemble_by_labels(ue: int, want: int, placement, delivered: dict) -> bytes:
+    """UE ``ue``'s copy of the placed parts of file ``want``, label by label.
+
+    Walks the subfiles in file order by enumerating subsets and null sets
+    with ``itertools.combinations``: a subfile whose subset holds the UE is
+    sliced from the library copy (its cache); any other is the concatenation
+    of the delivered pieces the paper prescribes, looked up by their full
+    labels (one-shot: nulled at every other non-caching UE; chunked: one
+    chunk per (H-1)-subset pi of those UEs, the rest of them excluded).
+    Asserts that ``delivered`` holds exactly those pieces. Uses none of the
+    library's rank or layout code.
+    """
+    h, k, t = placement.topology.h, placement.topology.k, placement.t_u
+    universe = range(1, k + 1)
+    subsets = list(combinations(universe, t))
+    data = placement.library.file(want)
+    pieces, used, start = [], set(), 0
+    for part in ("local", "cloud"):
+        bits = placement.part_bits.get(part, 0)
+        if not bits:
+            continue
+        size = bits // 8 // len(subsets)
+        for i, t_set in enumerate(subsets):
+            if ue in t_set:
+                pieces.append(data[start + i * size : start + (i + 1) * size])
+                continue
+            pool = [u for u in universe if u != ue and u not in t_set]
+            nulls = list(combinations(pool, h - 1)) if t < k - h else [tuple(pool)]
+            for pi in nulls:
+                label = cn.SoftSubfileLabel(want, t_set, part, pi, tuple(u for u in pool if u not in pi))
+                pieces.append(delivered[label])
+                used.add(label)
+        start += bits // 8
+    assert used == set(delivered), "deliveries beyond the prescribed pieces"
+    return b"".join(pieces)
+
+
 #: hand-evaluated expected values, frozen before the implementation ran
 FROZEN = {
     # coded-placement NDT at (h=5, r=2, mu_r=1/4, mu_t=3/10, rho=1):

@@ -1,5 +1,6 @@
 """Tests for the cloud-assisted zero-forcing scheme with subset placement."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -10,13 +11,21 @@ from hypothesis import strategies as st
 import cachenet as cn
 from cachenet.errors import (
     IndivisibleFileSize,
+    InterferenceLeak,
     NonDistinctDemand,
     NonIntegralCacheParameter,
     OutOfRange,
+    ReconstructionMismatch,
 )
-from cachenet.soft_transfer import CASE_CHUNKED, CASE_ONE_SHOT
+from cachenet.soft_transfer import (
+    CASE_CHUNKED,
+    CASE_ONE_SHOT,
+    collect_deliveries,
+    delivery_geometry,
+    delivery_plan,
+)
 
-from oracles import FROZEN
+from oracles import FROZEN, assemble_by_labels
 
 
 def make_soft(h, r, mu_r, mu_t, seed=5):
@@ -322,3 +331,142 @@ def test_chunked_simulation_with_channel():
     ch = cn.draw_channel(t, 3)
     verdicts = cn.soft_simulate(schedule, ch, pl, demand)
     assert all(v.ok for v in verdicts)
+
+
+# ---------------------------------------------------------------------------
+# the schedule given is the schedule verified
+# ---------------------------------------------------------------------------
+
+TAMPERS = ("repeat-step", "drop-entry", "other-file", "short-pi")
+
+
+def tamper(schedule, how, k):
+    """A copy of ``schedule`` with one defect; also the UE and subset it touches."""
+    if how == "repeat-step":
+        ue, lab = schedule[0].entries[0]
+        return schedule + [schedule[0]], ue, lab.subset
+    step = schedule[2]
+    ue, lab = step.entries[1]
+    if how == "drop-entry":
+        entries = step.entries[:1] + step.entries[2:]
+    else:
+        other = replace(lab, file=ue % k + 1) if how == "other-file" else replace(lab, pi=lab.pi[:-1])
+        entries = step.entries[:1] + ((ue, other),) + step.entries[2:]
+    return schedule[:2] + [replace(step, entries=entries)] + schedule[3:], ue, lab.subset
+
+
+@pytest.mark.parametrize("channel_seed", [None, 3])
+@pytest.mark.parametrize("how", TAMPERS)
+@pytest.mark.parametrize("mu_r", [Fraction(3, 6), Fraction(1, 6)], ids=["one-shot", "chunked"])
+def test_simulate_rejects_a_tampered_schedule(mu_r, how, channel_seed):
+    t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
+    bad, ue, subset = tamper(schedule, how, t.k)
+    ch = None if channel_seed is None else cn.draw_channel(t, channel_seed)
+    assert all(v.ok for v in cn.soft_simulate(schedule, ch, pl, demand))
+    with pytest.raises((ReconstructionMismatch, InterferenceLeak)) as err:
+        cn.soft_simulate(bad, ch, pl, demand)
+    message = str(err.value)
+    assert f"UE {ue}" in message and "step" in message and f"subset={subset}" in message
+
+
+def test_simulate_rejects_a_file_id_outside_the_library():
+    t, lib, pl, demand, schedule = make_soft(4, 2, Fraction(1, 6), 0)
+    with pytest.raises(OutOfRange):
+        cn.soft_simulate(schedule, None, pl, demand[:-1] + [0])
+
+
+def test_numerics_name_the_first_step_with_a_leak():
+    # UE 3's entries of steps 1 and 5 trade places: both stay pieces UE 3
+    # misses, so coverage holds, but each now reaches a bystander in its
+    # excluded set, which can neither null nor cancel it
+    t, lib, pl, demand, schedule = make_soft(4, 2, Fraction(1, 6), 0)
+    a, b = schedule[0], schedule[4]
+    assert a.pi_prime != b.pi_prime
+    lab_a, lab_b = dict(a.entries)[3], dict(b.entries)[3]
+    swapped = list(schedule)
+    swapped[0] = replace(a, entries=tuple((u, lab_b if u == 3 else lab) for u, lab in a.entries))
+    swapped[4] = replace(b, entries=tuple((u, lab_a if u == 3 else lab) for u, lab in b.entries))
+    assert all(v.ok for v in cn.soft_simulate(swapped, None, pl, demand))  # bytes still arrive
+    with pytest.raises(InterferenceLeak, match=r"^step 1: UE 2 can neither null nor cancel"):
+        cn.soft_simulate(swapped, cn.draw_channel(t, 3), pl, demand)
+
+
+# ---------------------------------------------------------------------------
+# the compiled plan is sound across calls
+# ---------------------------------------------------------------------------
+
+
+def cache_counts():
+    return delivery_geometry.cache_info(), delivery_plan.cache_info()
+
+
+def assert_all_hits(before, after):
+    for b, a in zip(before, after):
+        assert a.misses == b.misses and a.hits > b.hits
+
+
+def assert_oracle_bytes(schedule, placement, demand, suffix=lambda n: b""):
+    got = collect_deliveries(schedule, None, placement)
+    for ue in range(1, placement.topology.k + 1):
+        want = demand[ue - 1]
+        prefix = assemble_by_labels(ue, want, placement, got[ue])
+        assert prefix + suffix(want) == placement.library.file(want)
+
+
+def test_plan_compiled_under_identity_serves_a_permuted_demand():
+    t, lib, pl, demand, schedule = make_soft(5, 2, Fraction(4, 10), 0)
+    assert all(v.ok for v in cn.soft_simulate(schedule, None, pl, demand))
+    before = cache_counts()
+    lib2 = cn.random_library(t.k, lib.file_size_bits, seed=11)
+    pl2 = cn.soft_place(lib2, t, Fraction(4, 10), 0)
+    perm = [(ue + 3) % t.k + 1 for ue in range(t.k)]
+    schedule2 = cn.soft_schedule(perm, pl2, t)
+    verdicts = cn.soft_simulate(schedule2, None, pl2, perm)
+    assert [v.file_id for v in verdicts] == perm and all(v.ok for v in verdicts)
+    assert_all_hits(before, cache_counts())
+    assert_oracle_bytes(schedule2, pl2, perm)
+
+
+@pytest.mark.parametrize("mu_r", [Fraction(3, 6), Fraction(1, 6)], ids=["one-shot", "chunked"])
+def test_plan_serves_a_repeated_file_demand(mu_r):
+    t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
+    before = cache_counts()
+    repeated = [(ue + 1) // 2 for ue in range(1, t.k + 1)]  # 1, 1, 2, 2, 3, 3
+    with pytest.warns(NonDistinctDemand):
+        schedule2 = cn.soft_schedule(repeated, pl, t)
+    verdicts = cn.soft_simulate(schedule2, None, pl, repeated)
+    assert [v.file_id for v in verdicts] == repeated and all(v.ok for v in verdicts)
+    assert_all_hits(before, cache_counts())
+    assert_oracle_bytes(schedule2, pl, repeated)
+
+
+@pytest.mark.parametrize("h,t_u", [(4, 3), (4, 1), (5, 6), (5, 4)])
+def test_soft_and_zf_share_one_geometry(h, t_u):
+    t = cn.build_topology(h, 2)
+    demand = list(range(1, t.k + 1))
+    runs = []
+    for mu_t in (Fraction(0), Fraction(1, 2)):
+        mu_r = Fraction(t_u, t.k)
+        lib = cn.random_library(t.k, cn.minimal_soft_file_bits(h, 2, mu_r, mu_t), seed=t_u)
+        runs.append(cn.soft_place(lib, t, mu_r, mu_t))
+    mu_r, mu_t = Fraction(t_u + t.k, 2 * t.k), Fraction(1, 2)
+    zf_lib = cn.random_library(t.k, cn.minimal_zf_file_bits(h, 2, mu_r, mu_t), seed=t_u)
+    zf = cn.zf_place(zf_lib, t, mu_r, mu_t)
+    assert zf.t_r == t_u and zf.view.case == runs[0].case
+
+    for i, pl in enumerate(runs + [zf.view]):
+        before = delivery_geometry.cache_info()
+        schedule = cn.soft_schedule(demand, pl, t)
+        after = delivery_geometry.cache_info()
+        if i:  # compiled by the first run at the latest
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        if pl is zf.view:
+            _, verdicts = cn.zf_deliver(demand, zf, t, None)
+            assert_oracle_bytes(schedule, pl, demand, suffix=zf.w2_payload)
+        else:
+            verdicts = cn.soft_simulate(schedule, None, pl, demand)
+            assert_oracle_bytes(schedule, pl, demand)
+        assert all(v.ok for v in verdicts)
+    # the three runs differ in part sizes only: three plans over one geometry
+    plans = [pl.plan for pl in runs + [zf.view]]
+    assert len({id(p) for p in plans}) == 3 and all(p.geometry is plans[0].geometry for p in plans)

@@ -1,5 +1,6 @@
 """Tests for cloud-free delivery when the combined caches hold the library."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -10,8 +11,10 @@ from cachenet.errors import (
     DegenerateChannel,
     NonIntegralCacheParameter,
     OutOfRange,
+    ReconstructionMismatch,
     RegionViolation,
 )
+from cachenet.soft_transfer import collect_deliveries
 
 from oracles import FROZEN
 
@@ -97,6 +100,15 @@ def test_chunked_delivery_bit_exact():
     assert len(schedule) == cn.chunked_step_count(5, 10, 3)
     assert all(len(s.entries) == t.h + pl.t_r for s in schedule)
     assert all(v.ok for v in verdicts)
+
+
+def test_prefix_delivery_rejects_a_repeated_step():
+    t, lib, pl, demand = make_zf(5, 2, Fraction(13, 20), Fraction(1, 2))
+    schedule, _ = cn.zf_deliver(demand, pl, t, None)
+    ue, lab = schedule[0].entries[0]
+    pattern = rf"step 1: UE {ue} .*subset={re.escape(str(lab.subset))}"
+    with pytest.raises(ReconstructionMismatch, match=pattern):
+        collect_deliveries(schedule + [schedule[0]], None, pl.view)
 
 
 @pytest.mark.parametrize("seed", range(3))
