@@ -8,9 +8,9 @@ serve C(H, r) receivers (one per r-subset of edge nodes):
 - cloud-assisted zero-forcing with subset placement (``soft_transfer``),
 - cloud-free zero-forcing for large combined caches (``zf``),
 
-plus exact-rational delivery-time algebra (``ndt``), channel/beamforming
-numerics (``channel``), fixture rendering (``fixtures``), and a CLI
-(``cachenet``).
+plus exact-rational delivery-time algebra (``ndt``), the scheme registry
+and all-scheme comparisons (``schemes``), channel/beamforming numerics
+(``channel``), fixture rendering (``fixtures``), and a CLI (``cachenet``).
 """
 
 from .channel import (
@@ -59,15 +59,12 @@ from .mdsia import (
     minimal_file_bits,
     plan_alignment,
 )
-from .ndt import (
+from .ndt import NdtValue, SharingDecomposition, as_fraction, memory_share
+from .schemes import (
     ComparisonRow,
     ConvexityReport,
-    NdtValue,
-    SharingDecomposition,
-    as_fraction,
     compare_schemes,
     convexity_check,
-    memory_share,
     rho_threshold,
     shared_mdsia_ndt,
     shared_scheme_ndt,

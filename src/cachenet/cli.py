@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .channel import draw_channel
-from .combinatorics import level
 from .errors import (
     DegenerateChannel,
     DemandLengthMismatch,
@@ -29,29 +28,18 @@ from .errors import (
     RegionViolation,
     UnsupportedRegime,
 )
-from .fixtures import render_message_id, render_piece, render_subfile, write_fixtures
+from .fixtures import (
+    direction_rows,
+    interference_lines,
+    multicast_lines,
+    piece_cache_lines,
+    subfile_cache_lines,
+    write_fixtures,
+)
 from .mdscode import random_library
-from .mdsia import (
-    build_interference_matrices,
-    mdsia_decode_check,
-    mdsia_fronthaul,
-    mdsia_local_multicast,
-    mdsia_ndt,
-    mdsia_place,
-    minimal_file_bits,
-    certify_alignment,
-    plan_alignment,
-)
-from .ndt import SCHEMES, NdtValue, as_fraction, compare_schemes
-from .soft_transfer import (
-    minimal_soft_file_bits,
-    soft_ndt,
-    soft_place,
-    soft_schedule,
-    soft_simulate,
-)
+from .ndt import NdtValue, as_fraction
+from .schemes import SCHEMES, compare_schemes
 from .topology import adjacency_lines, build_topology
-from .zf import minimal_zf_file_bits, zf_deliver, zf_ndt, zf_place
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -122,14 +110,45 @@ def _ndt_lines(value: NdtValue, rho: Fraction | None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _demand_list(spec: str, k: int, n_files: int) -> list[int]:
-    if spec == "identity":
-        return list(range(1, k + 1))
+def _demand_list(spec: str) -> list[int]:
     try:
-        demand = [int(x) for x in spec.split(",")]
+        return [int(x) for x in spec.split(",")]
     except ValueError as exc:
         raise ValueError(f"demand must be 'identity' or a comma list of file ids: {spec!r}") from exc
-    return demand
+
+
+def _mdsia_listing(placement, delivery) -> list[str]:
+    lines = [f"placement: t={placement.t_e}, piece store per UE = {placement.ue_cache_bits(1)} bits/file-set"]
+    lines += piece_cache_lines(placement)
+    lines.append(f"multicasts: {len(delivery.cloud)} over fronthaul, {len(delivery.local)} EN-local")
+    lines += multicast_lines(delivery.cloud + delivery.local)
+    lines += interference_lines(delivery.mats)
+    plan = delivery.plan
+    lines.append(f"alignment: {plan.g_rows} transmit directions")
+    for row, (_, b, c) in zip(plan.rows, direction_rows(plan)):
+        lines += [f"direction {row.g}: B = {b}", f"direction {row.g}: C = {c}"]
+    return lines + ["certification: ok"]  # mdsia_deliver raises on a failed one
+
+
+def _soft_listing(placement, schedule) -> list[str]:
+    sizes = sorted({len(s.entries) for s in schedule})
+    return [
+        f"placement: t={placement.t_u}, {placement.n_subfiles} subfiles per part, parts {placement.parts}",
+        *subfile_cache_lines(placement),
+        f"schedule: {len(schedule)} steps, entries per step {sizes}",
+    ]
+
+
+def _zf_listing(placement, schedule) -> list[str]:
+    params = placement.params
+    return [
+        f"placement: t={placement.t_r}, prefix {params.w1_bits} bits, suffix {params.w2_bits} bits",
+        f"schedule: {len(schedule)} steps (no fronthaul)",
+    ]
+
+
+#: what ``run`` prints of a placement and its delivery, before verifying it
+_LISTINGS = {"mdsia": _mdsia_listing, "soft": _soft_listing, "zf": _zf_listing}
 
 
 def cmd_run(args) -> int:
@@ -137,8 +156,7 @@ def cmd_run(args) -> int:
     mu_r, mu_t = as_fraction(args.mu_r), as_fraction(args.mu_t)
     rho = as_fraction(args.rho) if args.rho is not None else None
     seed = int(os.environ.get("CACHENET_SEED", args.seed))
-    n_files = args.n_files or t.k
-    demand = _demand_list(args.demand, t.k, n_files)
+    demand = list(range(1, t.k + 1)) if args.demand == "identity" else _demand_list(args.demand)
 
     for line in adjacency_lines(t):
         print(line)
@@ -147,108 +165,38 @@ def cmd_run(args) -> int:
         if rho is None:
             raise OutOfRange("--rho is required with --scheme all")
         [row] = compare_schemes([(t.h, t.r, mu_r, mu_t, rho)])
-        for scheme in SCHEMES:
-            value = row.values[scheme]
+        for name in SCHEMES:
+            value = row.values[name]
             if value is None:
-                print(f"scheme {scheme}: n/a (outside regime)")
+                print(f"scheme {name}: n/a (outside regime)")
             else:
                 for line in _ndt_lines(value, rho):
                     print(line)
         print(f"argmin: {row.argmin}")
         return EXIT_OK
 
-    runner = {"mdsia": _run_mdsia, "soft": _run_soft, "zf": _run_zf}[args.scheme]
-    return runner(t, mu_r, mu_t, rho, n_files, args.file_bits, seed, demand)
-
-
-def _run_mdsia(t, mu_r, mu_t, rho, n_files, file_bits, seed, demand) -> int:
-    bits = file_bits or minimal_file_bits(t, level("L", t.h, t.r, mu_r, mu_t), mu_t)
-    lib = random_library(n_files, bits, seed)
-    placement = mdsia_place(lib, t, mu_r, mu_t)
-    cloud = mdsia_fronthaul(demand, placement, t)
-    local = mdsia_local_multicast(demand, placement, t)
-
-    print(f"placement: t={placement.t_e}, piece store per UE = {placement.ue_cache_bits(1)} bits/file-set")
-    for ue in range(1, t.k + 1):
-        labels = sorted(
-            (lb for lb in placement.ue_caches[ue] if lb.file == 1),
-            key=lambda lb: (lb.chunk, lb.subset, lb.part or ""),
+    scheme = SCHEMES[args.scheme]
+    at = rho if rho is not None else Fraction(1)  # the symbolic print is the value at rho = 1
+    closed = scheme.ndt(t.h, t.r, mu_r, mu_t, at)  # first: an unsupported point fails before any work
+    bits = args.file_bits or scheme.file_bits(t.h, t.r, mu_r, mu_t)
+    placement = scheme.place(random_library(args.n_files or t.k, bits, seed), t, mu_r, mu_t)
+    artifacts = scheme.deliver(demand, placement, t)
+    for line in _LISTINGS[scheme.name](placement, artifacts):
+        print(line)
+    verdicts = scheme.verify(artifacts, draw_channel(t, seed), placement, demand)
+    print(f"decode: {sum(v.ok for v in verdicts)}/{len(verdicts)} files rebuilt bit-exactly")
+    for line in _ndt_lines(closed, rho):
+        print(line)
+    structural = scheme.structural_ndt(artifacts, placement, at)
+    if (structural.fronthaul, structural.edge) != (closed.fronthaul, closed.edge):
+        print(
+            f"verification failure: scheme {scheme.name} at rho = {at}: structural NDT "
+            f"{structural.fronthaul} + {structural.edge} != closed form {closed.fronthaul} + {closed.edge}"
+            " (fronthaul + edge)",
+            file=sys.stderr,
         )
-        print(f"UE,{ue},cache," + ",".join(render_piece(lb, generic_file=True) for lb in labels))
-    print(f"multicasts: {len(cloud)} over fronthaul, {len(local)} EN-local")
-    for msg in sorted(cloud + local, key=lambda m: (m.en, m.subset)):
-        cells = [f"EN,{msg.en}", *render_message_id(msg.id)]
-        cells += [render_piece(lb) for _, lb in msg.members]
-        print(",".join(cells))
-
-    mats = build_interference_matrices(t, cloud or local)
-    for ue in range(1, t.k + 1):
-        for j, row in enumerate(mats[ue].rows(), start=1):
-            cells = [f"UE,{ue},row,{j}"]
-            for mid in row:
-                cells += render_message_id(mid)
-            print(",".join(cells))
-
-    status = EXIT_OK
-    try:
-        plan = plan_alignment(t, mats)
-    except UnsupportedRegime as exc:
-        print(f"alignment: skipped ({exc})")
-    else:
-        print(f"alignment: {plan.g_rows} transmit directions")
-        for row in plan.rows:
-            b_cells = []
-            for mid in row.b:
-                b_cells += render_message_id(mid)
-            print(f"direction {row.g}: B = " + ",".join(b_cells))
-            print(f"direction {row.g}: C = " + ",".join(str(u) for u in row.c))
-        report = certify_alignment(plan, t, mats)
-        print(f"certification: {'ok' if report.ok else 'FAILED'}")
-        if not report.ok:
-            for check in report.per_ue.values():
-                if not check.ok:
-                    print(f"  UE {check.ue}: {check}")
-            status = EXIT_VERIFY
-
-    verdicts = mdsia_decode_check(demand, placement, cloud, local, t)
-    print(f"decode: {sum(v.ok for v in verdicts)}/{len(verdicts)} files rebuilt bit-exactly")
-    value = mdsia_ndt(t.h, t.r, mu_r, mu_t, rho if rho is not None else Fraction(1))
-    for line in _ndt_lines(value, rho):
-        print(line)
-    return status
-
-
-def _run_soft(t, mu_r, mu_t, rho, n_files, file_bits, seed, demand) -> int:
-    bits = file_bits or minimal_soft_file_bits(t.h, t.r, mu_r, mu_t)
-    lib = random_library(n_files, bits, seed)
-    placement = soft_place(lib, t, mu_r, mu_t)
-    schedule = soft_schedule(demand, placement, t)
-    sizes = sorted({len(s.entries) for s in schedule})
-    print(f"placement: t={placement.t_u}, {placement.n_subfiles} subfiles per part, parts {placement.parts}")
-    for ue in range(1, t.k + 1):
-        labels = [lb for lb in placement.ue_cache_labels(ue) if lb.file == 1]
-        print(f"UE,{ue},cache," + ",".join(render_subfile(lb, generic_file=True) for lb in labels))
-    print(f"schedule: {len(schedule)} steps, entries per step {sizes}")
-    ch = draw_channel(t, seed)
-    verdicts = soft_simulate(schedule, ch, placement, demand)
-    print(f"decode: {sum(v.ok for v in verdicts)}/{len(verdicts)} files rebuilt bit-exactly")
-    value = soft_ndt(t.h, t.r, mu_r, mu_t, rho if rho is not None else Fraction(1))
-    for line in _ndt_lines(value, rho):
-        print(line)
-    return EXIT_OK
-
-
-def _run_zf(t, mu_r, mu_t, rho, n_files, file_bits, seed, demand) -> int:
-    bits = file_bits or minimal_zf_file_bits(t.h, t.r, mu_r, mu_t)
-    lib = random_library(n_files, bits, seed)
-    placement = zf_place(lib, t, mu_r, mu_t)
-    ch = draw_channel(t, seed)
-    schedule, verdicts = zf_deliver(demand, placement, t, ch)
-    print(f"placement: t={placement.t_r}, prefix {placement.params.w1_bits} bits, suffix {placement.params.w2_bits} bits")
-    print(f"schedule: {len(schedule)} steps (no fronthaul)")
-    print(f"decode: {sum(v.ok for v in verdicts)}/{len(verdicts)} files rebuilt bit-exactly")
-    for line in _ndt_lines(zf_ndt(t.h, t.r, mu_r, mu_t), rho):
-        print(line)
+        return EXIT_VERIFY
+    print(f"structural NDT == closed form: {closed.total} at rho = {at}")
     return EXIT_OK
 
 

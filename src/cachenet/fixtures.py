@@ -23,18 +23,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .mdscode import random_library
 from .mdsia import (
+    AlignmentPlan,
+    InterferenceMatrix,
     MessageId,
     MulticastMessage,
     PieceLabel,
-    build_interference_matrices,
-    mdsia_fronthaul,
+    PlacementState,
+    mdsia_deliver,
     mdsia_place,
-    plan_alignment,
 )
-from .soft_transfer import SoftSubfileLabel, soft_missing, soft_place
+from .soft_transfer import SoftPlacement, SoftSubfileLabel, soft_missing, soft_place
 from .topology import build_topology
 
 # ---------------------------------------------------------------------------
@@ -99,6 +101,10 @@ def render_message_id(mid: MessageId) -> list[str]:
     return ["X", str(en), render_set(subset)]
 
 
+def _message_cells(ids) -> list[str]:
+    return [cell for mid in ids for cell in render_message_id(mid)]
+
+
 def render_coef(coef: tuple[int, int]) -> str:
     ue, en = coef
     return f"h[{ue},{en}]"
@@ -135,6 +141,51 @@ def parse_message_fields(fields: list[str]) -> list[MessageId]:
 
 
 # ---------------------------------------------------------------------------
+# tables (shared by the golden files and the CLI listings)
+# ---------------------------------------------------------------------------
+
+
+def piece_cache_lines(placement: PlacementState) -> Iterator[str]:
+    """``UE,k,cache,...``: the coded pieces each UE holds of every file."""
+    for ue in range(1, placement.topology.k + 1):
+        labels = sorted(
+            (lb for lb in placement.ue_caches[ue] if lb.file == 1),
+            key=lambda lb: (lb.chunk, lb.subset, lb.part or ""),
+        )
+        cells = ",".join(render_piece(lb, generic_file=True) for lb in labels)
+        yield f"UE,{ue},cache,{cells}"
+
+
+def subfile_cache_lines(placement: SoftPlacement) -> Iterator[str]:
+    """``UE,k,cache,...``: the subfiles each UE holds of every file."""
+    for ue in range(1, placement.topology.k + 1):
+        labels = [lb for lb in placement.ue_cache_labels(ue) if lb.file == 1]
+        cells = ",".join(render_subfile(lb, generic_file=True) for lb in labels)
+        yield f"UE,{ue},cache,{cells}"
+
+
+def multicast_lines(messages: list[MulticastMessage]) -> Iterator[str]:
+    """``EN,i,X,i,{...},...``: each multicast's id and members, by EN and subset."""
+    for msg in sorted(messages, key=lambda m: (m.en, m.subset)):
+        cells = [f"EN,{msg.en}", *render_message_id(msg.id)]
+        cells += [render_piece(lb) for _, lb in msg.members]
+        yield ",".join(cells)
+
+
+def interference_lines(mats: dict[int, InterferenceMatrix]) -> Iterator[str]:
+    """``UE,k,row,j,...``: the messages of each row of each UE's interference matrix."""
+    for ue, mat in sorted(mats.items()):
+        for j, row in enumerate(mat.rows(), start=1):
+            yield ",".join([f"UE,{ue},row,{j}", *_message_cells(row)])
+
+
+def direction_rows(plan: AlignmentPlan) -> Iterator[tuple[str, str, str]]:
+    """Per transmit direction: its coefficient ids (A), messages (B) and owners (C)."""
+    for row in plan.rows:
+        yield ",".join(map(render_coef, row.a)), ",".join(_message_cells(row.b)), ",".join(map(str, row.c))
+
+
+# ---------------------------------------------------------------------------
 # golden scenario: 5 ENs, pair connectivity, one-rank UE caches
 # ---------------------------------------------------------------------------
 
@@ -149,47 +200,12 @@ def coded_caching_fixtures() -> dict[str, str]:
     t = build_topology(5, 2)
     lib = random_library(n_files=10, file_size_bits=64, seed=0)
     placement = mdsia_place(lib, t, Fraction(1, 4), Fraction(0))
-    demand = list(range(1, 11))
-    messages = mdsia_fronthaul(demand, placement, t)
-    mats = build_interference_matrices(t, messages)
-    plan = plan_alignment(t, mats)
-
-    cache_lines = []
-    for ue in range(1, t.k + 1):
-        labels = sorted(
-            (lb for lb in placement.ue_caches[ue] if lb.file == 1),
-            key=lambda lb: (lb.chunk, lb.subset),
-        )
-        cells = ",".join(render_piece(lb, generic_file=True) for lb in labels)
-        cache_lines.append(f"UE,{ue},cache,{cells}")
-
-    msg_lines = []
-    for msg in sorted(messages, key=lambda m: (m.en, m.subset)):
-        cells = [f"EN,{msg.en}", *render_message_id(msg.id)]
-        cells += [render_piece(lb) for _, lb in msg.members]
-        msg_lines.append(",".join(cells))
-
-    mat_lines = []
-    for ue in range(1, t.k + 1):
-        for j, row in enumerate(mats[ue].rows(), start=1):
-            cells = [f"UE,{ue},row,{j}"]
-            for mid in row:
-                cells += render_message_id(mid)
-            mat_lines.append(",".join(cells))
-
-    a_lines, b_lines, c_lines = [], [], []
-    for row in plan.rows:
-        a_lines.append(",".join(render_coef(c) for c in row.a))
-        b_cells = []
-        for mid in row.b:
-            b_cells += render_message_id(mid)
-        b_lines.append(",".join(b_cells))
-        c_lines.append(",".join(str(u) for u in row.c))
-
+    delivery = mdsia_deliver(list(range(1, 11)), placement, t)
+    a_lines, b_lines, c_lines = zip(*direction_rows(delivery.plan))
     return {
-        "ue_caches.csv": _text(cache_lines),
-        "multicasts.csv": _text(msg_lines),
-        "interference.csv": _text(mat_lines),
+        "ue_caches.csv": _text(piece_cache_lines(placement)),
+        "multicasts.csv": _text(multicast_lines(delivery.cloud)),
+        "interference.csv": _text(interference_lines(delivery.mats)),
         "directions_a.csv": _text(a_lines),
         "directions_b.csv": _text(b_lines),
         "directions_c.csv": _text(c_lines),
@@ -214,12 +230,6 @@ def subset_caching_fixtures() -> dict[str, str]:
     demand = list(range(1, t.k + 1))
     missing = soft_missing(demand, placement)
 
-    cache_lines = []
-    for ue in range(1, t.k + 1):
-        labels = [lb for lb in placement.ue_cache_labels(ue) if lb.file == 1]
-        cells = ",".join(render_subfile(lb, generic_file=True) for lb in labels)
-        cache_lines.append(f"UE,{ue},cache,{cells}")
-
     missing_lines, nulled_lines = [], []
     k = t.k
     for ue in range(1, k + 1):
@@ -232,7 +242,7 @@ def subset_caching_fixtures() -> dict[str, str]:
         nulled_lines.append(f"UE,{ue},missing," + ",".join(nulled))
 
     return {
-        "ue_subsets.csv": _text(cache_lines),
+        "ue_subsets.csv": _text(subfile_cache_lines(placement)),
         "missing.csv": _text(missing_lines),
         "missing_nulled.csv": _text(nulled_lines),
     }

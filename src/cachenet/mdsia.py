@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .combinatorics import level, smallest_file_bits, subset_rank
 from .errors import (
     IndivisibleFileSize,
+    InterferenceLeak,
     OutOfRange,
     PeelFailure,
     ReconstructionMismatch,
@@ -600,6 +602,33 @@ def _desired_ids(t: NetworkTopology, k: int, t_e: int) -> list[MessageId]:
             if rank in s:
                 out.append((i, s))
     return out
+
+
+class MdsiaDelivery(NamedTuple):
+    """Both multicast phases of one demand, with their certified alignment plan."""
+
+    cloud: list[MulticastMessage]
+    local: list[MulticastMessage]
+    mats: dict[int, InterferenceMatrix]
+    plan: AlignmentPlan
+
+
+def mdsia_deliver(demand, placement: PlacementState, t: NetworkTopology) -> MdsiaDelivery:
+    """Build both multicast phases, then plan and certify their alignment.
+
+    Raises ``UnsupportedRegime`` as ``plan_alignment`` does (exactly where
+    ``mdsia_ndt`` does), and ``InterferenceLeak`` if certification fails.
+    """
+    cloud = mdsia_fronthaul(demand, placement, t)
+    local = mdsia_local_multicast(demand, placement, t)
+    mats = build_interference_matrices(t, cloud or local)
+    plan = plan_alignment(t, mats)
+    report = certify_alignment(plan, t, mats)
+    if not report.ok:
+        failed = [check for check in report.per_ue.values() if not check.ok]
+        partition = "ok" if report.b_partition_ok else "broken"
+        raise InterferenceLeak(f"alignment certification failed, row partition {partition}: {failed}")
+    return MdsiaDelivery(cloud, local, mats, plan)
 
 
 # ---------------------------------------------------------------------------

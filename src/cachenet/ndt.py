@@ -2,10 +2,11 @@
 
 Normalized delivery time (NDT) here is always an exact ``Fraction`` split
 into a fronthaul part and an edge part. This module owns the value types,
-convex memory sharing between integer-parameter operating points, the
-fronthaul-quality threshold at which the cloud-free scheme stops winning,
-grid comparison with deterministic tie-breaking, and midpoint-convexity
-verification. No floats enter any computation; decimals appear only when a
+convex memory sharing between integer-parameter operating points, and the
+deterministic tie-break between schemes. It imports no scheme: the scheme
+modules build on it, and the all-scheme consumers (grid comparison, the
+fronthaul-quality threshold, convexity) live next to the registry in
+``schemes``. No floats enter any computation; decimals appear only when a
 caller renders values.
 """
 
@@ -17,9 +18,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .combinatorics import fractional_level, level_mu
-from .errors import RegionViolation, UnsupportedRegime
-
-SCHEMES = ("mdsia", "soft", "zf")
 
 #: schemes that never touch the fronthaul by construction
 FRONTHAUL_FREE = frozenset({"zf"})
@@ -118,158 +116,7 @@ def memory_share(ndt_fn, h: int, r: int, mu_r, mu_t, rho, normalizer: str) -> Nd
     )
 
 
-def shared_mdsia_ndt(h: int, r: int, mu_r, mu_t, rho) -> NdtValue:
-    from .mdsia import mdsia_ndt
-
-    return memory_share(mdsia_ndt, h, r, mu_r, mu_t, rho, "L")
-
-
-def shared_soft_ndt(h: int, r: int, mu_r, mu_t, rho) -> NdtValue:
-    from .soft_transfer import soft_ndt
-
-    return memory_share(soft_ndt, h, r, mu_r, mu_t, rho, "K")
-
-
-def shared_zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:
-    from .zf import zf_ndt
-
-    fn = lambda hh, rr, m, mt, _rho: zf_ndt(hh, rr, m, mt)
-    return memory_share(fn, h, r, mu_r, mu_t, None, "ZF")
-
-
-def shared_scheme_ndt(scheme: str, h: int, r: int, mu_r, mu_t, rho) -> NdtValue:
-    if scheme == "mdsia":
-        return shared_mdsia_ndt(h, r, mu_r, mu_t, rho)
-    if scheme == "soft":
-        return shared_soft_ndt(h, r, mu_r, mu_t, rho)
-    if scheme == "zf":
-        return shared_zf_ndt(h, r, mu_r, mu_t)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
-# fronthaul-quality threshold
-# ---------------------------------------------------------------------------
-
-
-def rho_threshold(h: int, r: int, mu_r, mu_t) -> Fraction | None:
-    """Fronthaul quality below which cloud-free delivery wins.
-
-    The memory-shared coded-multicast value is affine in 1/rho: B/rho + E
-    with B its fronthaul coefficient and E its edge part. The cloud-free
-    value Z is rho-independent, so the two cross at B/(Z - E) exactly.
-
-    Returns 0 when B = 0 (the EN share already silences the fronthaul, per
-    the clamp), and None when Z <= E with B > 0 (the coded-multicast value
-    exceeds Z at every finite rho, so no finite threshold exists).
-
-    Raises
-    ------
-    RegionViolation
-        If (mu_r, mu_t) lies outside the cloud-free region mu_r + mu_t >= 1.
-    """
-    mu_r = as_fraction(mu_r)
-    mu_t = as_fraction(mu_t)
-    if mu_r + mu_t < 1:
-        raise RegionViolation("threshold defined on the cloud-free region only")
-    at_unit_rho = shared_mdsia_ndt(h, r, mu_r, mu_t, Fraction(1))
-    b, e = at_unit_rho.fronthaul, at_unit_rho.edge
-    if b == 0:
-        return Fraction(0)
-    z = shared_zf_ndt(h, r, mu_r, mu_t).total
-    if z <= e:
-        return None
-    return b / (z - e)
-
-
-# ---------------------------------------------------------------------------
-# grid comparison and convexity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """All applicable scheme values at one grid point, plus the argmin."""
-
-    h: int
-    r: int
-    mu_r: Fraction
-    mu_t: Fraction
-    rho: Fraction
-    values: dict[str, NdtValue | None]
-    argmin: str
-
-
 def argmin_key(scheme: str, value: NdtValue):
     # ties: prefer a value that used no fronthaul, then a scheme that never
     # uses fronthaul by construction, then lexicographic ids
     return (value.total, value.fronthaul != 0, scheme not in FRONTHAUL_FREE, scheme)
-
-
-def compare_schemes(grid) -> list[ComparisonRow]:
-    """Evaluate every scheme at every (h, r, mu_r, mu_t, rho) grid point.
-
-    Inapplicable regimes become None entries rather than failures. The
-    argmin is deterministic: smallest total, ties broken toward values that
-    used no fronthaul, then toward structurally fronthaul-free schemes, then
-    lexicographically.
-    """
-    rows = []
-    for h, r, mu_r, mu_t, rho in grid:
-        mu_r, mu_t, rho = as_fraction(mu_r), as_fraction(mu_t), as_fraction(rho)
-        values: dict[str, NdtValue | None] = {}
-        for scheme in SCHEMES:
-            try:
-                values[scheme] = shared_scheme_ndt(scheme, h, r, mu_r, mu_t, rho)
-            except (RegionViolation, UnsupportedRegime):
-                values[scheme] = None
-        applicable = {s: v for s, v in values.items() if v is not None}
-        best = min(applicable, key=lambda s: argmin_key(s, applicable[s]))
-        rows.append(
-            ComparisonRow(h=h, r=r, mu_r=mu_r, mu_t=mu_t, rho=rho, values=values, argmin=best)
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Midpoint-convexity verdict for a scheme's shared curve on a grid."""
-
-    scheme: str
-    ok: bool
-    checked_pairs: int
-    violations: tuple[tuple[Fraction, Fraction], ...]
-    skipped_pairs: tuple[tuple[Fraction, Fraction], ...]
-
-
-def convexity_check(scheme: str, mu_t, rho, mu_r_grid, *, h: int, r: int) -> ConvexityReport:
-    """Verify delta((a+b)/2) <= (delta(a)+delta(b))/2 for every grid pair.
-
-    All arithmetic is exact; pairs whose endpoints or midpoint fall outside
-    the scheme's region are reported as skipped, not violated.
-    """
-    pts = sorted(as_fraction(m) for m in mu_r_grid)
-    violations = []
-    skipped = []
-    checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            a, b = pts[i], pts[j]
-            mid = (a + b) / 2
-            try:
-                fa = shared_scheme_ndt(scheme, h, r, a, mu_t, rho).total
-                fb = shared_scheme_ndt(scheme, h, r, b, mu_t, rho).total
-                fm = shared_scheme_ndt(scheme, h, r, mid, mu_t, rho).total
-            except (RegionViolation, UnsupportedRegime):
-                skipped.append((a, b))
-                continue
-            checked += 1
-            if fm > (fa + fb) / 2:
-                violations.append((a, b))
-    return ConvexityReport(
-        scheme=scheme,
-        ok=not violations,
-        checked_pairs=checked,
-        violations=tuple(violations),
-        skipped_pairs=tuple(skipped),
-    )

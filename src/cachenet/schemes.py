@@ -1,0 +1,204 @@
+"""The scheme registry, and everything that evaluates every scheme.
+
+Each delivery scheme is registered once, as a ``Scheme``. ``cachenet run``,
+the memory-shared NDTs, grid comparison, the fronthaul-quality threshold
+and the convexity audit read the registry; none dispatches on a name.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+from .combinatorics import level
+from .errors import RegionViolation, UnsupportedRegime
+from .mdsia import mdsia_decode_check, mdsia_deliver, mdsia_ndt, mdsia_place, mdsia_structural_ndt
+from .mdsia import minimal_file_bits
+from .ndt import FRONTHAUL_FREE, NdtValue, argmin_key, as_fraction, memory_share
+from .soft_transfer import minimal_soft_file_bits, soft_ndt, soft_place, soft_schedule, soft_simulate
+from .soft_transfer import soft_structural_ndt
+from .topology import build_topology
+from .zf import minimal_zf_file_bits, zf_ndt, zf_place, zf_simulate, zf_structural_ndt
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One delivery scheme, as ``cachenet run`` and every all-scheme consumer call it."""
+
+    name: str
+    normalizer: str  # cache-level map: "L", "K" or "ZF" (combinatorics.level)
+    file_bits: Callable  # (h, r, mu_r, mu_t) -> smallest file size in bits
+    place: Callable  # (library, topology, mu_r, mu_t) -> placement
+    deliver: Callable  # (demand, placement, topology) -> payload-free artifacts
+    verify: Callable  # (artifacts, channel, placement, demand) -> one verdict per UE, or raises
+    ndt: Callable  # (h, r, mu_r, mu_t, rho=None) -> closed form at an integral level
+    structural_ndt: Callable  # (artifacts, placement, rho) -> the NDT counted from the artifacts
+
+    @property
+    def fronthaul_free(self) -> bool:
+        return self.name in FRONTHAUL_FREE
+
+    def shared_ndt(self, h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
+        """The NDT at any cache fraction, memory-shared between integral levels."""
+        return memory_share(self.ndt, h, r, mu_r, mu_t, rho, self.normalizer)
+
+
+def _mdsia_file_bits(h: int, r: int, mu_r, mu_t) -> int:
+    return minimal_file_bits(build_topology(h, r), level("L", h, r, mu_r, mu_t), mu_t)
+
+
+#: the registry, in ``--scheme`` choice and sweep-row order
+SCHEMES: dict[str, Scheme] = {
+    s.name: s
+    for s in (
+        Scheme(
+            "mdsia", "L", file_bits=_mdsia_file_bits, place=mdsia_place, deliver=mdsia_deliver,
+            verify=lambda d, ch, pl, demand: mdsia_decode_check(demand, pl, d.cloud, d.local, pl.topology),
+            ndt=mdsia_ndt,
+            structural_ndt=lambda d, pl, rho: mdsia_structural_ndt(pl, d.cloud, d.local, d.mats, rho),
+        ),
+        Scheme(
+            "soft", "K", file_bits=minimal_soft_file_bits, place=soft_place, deliver=soft_schedule,
+            verify=soft_simulate, ndt=soft_ndt, structural_ndt=soft_structural_ndt,
+        ),
+        Scheme(
+            "zf", "ZF", file_bits=minimal_zf_file_bits, place=zf_place,
+            deliver=lambda demand, pl, t: soft_schedule(demand, pl.view, t),
+            verify=zf_simulate, ndt=zf_ndt, structural_ndt=zf_structural_ndt,
+        ),
+    )
+}
+
+
+def shared_scheme_ndt(scheme: str, h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return SCHEMES[scheme].shared_ndt(h, r, mu_r, mu_t, rho)
+
+
+shared_mdsia_ndt = SCHEMES["mdsia"].shared_ndt
+shared_soft_ndt = SCHEMES["soft"].shared_ndt
+shared_zf_ndt = SCHEMES["zf"].shared_ndt
+
+
+# ---------------------------------------------------------------------------
+# fronthaul-quality threshold
+# ---------------------------------------------------------------------------
+
+
+def rho_threshold(h: int, r: int, mu_r, mu_t) -> Fraction | None:
+    """Fronthaul quality below which cloud-free delivery wins.
+
+    The memory-shared coded-multicast value is affine in 1/rho: B/rho + E
+    with B its fronthaul coefficient and E its edge part. The cloud-free
+    value Z is rho-independent, so the two cross at B/(Z - E) exactly.
+
+    Returns 0 when B = 0 (the EN share already silences the fronthaul, per
+    the clamp), and None when Z <= E with B > 0 (the coded-multicast value
+    exceeds Z at every finite rho, so no finite threshold exists).
+
+    Raises
+    ------
+    RegionViolation
+        If (mu_r, mu_t) lies outside the cloud-free region mu_r + mu_t >= 1.
+    """
+    mu_r = as_fraction(mu_r)
+    mu_t = as_fraction(mu_t)
+    if mu_r + mu_t < 1:
+        raise RegionViolation("threshold defined on the cloud-free region only")
+    at_unit_rho = shared_mdsia_ndt(h, r, mu_r, mu_t, Fraction(1))
+    b, e = at_unit_rho.fronthaul, at_unit_rho.edge
+    if b == 0:
+        return Fraction(0)
+    z = shared_zf_ndt(h, r, mu_r, mu_t).total
+    if z <= e:
+        return None
+    return b / (z - e)
+
+
+# ---------------------------------------------------------------------------
+# grid comparison and convexity
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComparisonRow:
+    """All applicable scheme values at one grid point, plus the argmin."""
+
+    h: int
+    r: int
+    mu_r: Fraction
+    mu_t: Fraction
+    rho: Fraction
+    values: dict[str, NdtValue | None]
+    argmin: str
+
+
+def compare_schemes(grid) -> list[ComparisonRow]:
+    """Evaluate every scheme at every (h, r, mu_r, mu_t, rho) grid point.
+
+    Inapplicable regimes become None entries rather than failures. The
+    argmin is deterministic: smallest total, ties broken toward values that
+    used no fronthaul, then toward structurally fronthaul-free schemes, then
+    lexicographically.
+    """
+    rows = []
+    for h, r, mu_r, mu_t, rho in grid:
+        mu_r, mu_t, rho = as_fraction(mu_r), as_fraction(mu_t), as_fraction(rho)
+        values: dict[str, NdtValue | None] = {}
+        for name, scheme in SCHEMES.items():
+            try:
+                values[name] = scheme.shared_ndt(h, r, mu_r, mu_t, rho)
+            except (RegionViolation, UnsupportedRegime):
+                values[name] = None
+        applicable = {s: v for s, v in values.items() if v is not None}
+        best = min(applicable, key=lambda s: argmin_key(s, applicable[s]))
+        rows.append(
+            ComparisonRow(h=h, r=r, mu_r=mu_r, mu_t=mu_t, rho=rho, values=values, argmin=best)
+        )
+    return rows
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    """Midpoint-convexity verdict for a scheme's shared curve on a grid."""
+
+    scheme: str
+    ok: bool
+    checked_pairs: int
+    violations: tuple[tuple[Fraction, Fraction], ...]
+    skipped_pairs: tuple[tuple[Fraction, Fraction], ...]
+
+
+def convexity_check(scheme: str, mu_t, rho, mu_r_grid, *, h: int, r: int) -> ConvexityReport:
+    """Verify delta((a+b)/2) <= (delta(a)+delta(b))/2 for every grid pair.
+
+    All arithmetic is exact; pairs whose endpoints or midpoint fall outside
+    the scheme's region are reported as skipped, not violated.
+    """
+    pts = sorted(as_fraction(m) for m in mu_r_grid)
+    violations = []
+    skipped = []
+    checked = 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            a, b = pts[i], pts[j]
+            mid = (a + b) / 2
+            try:
+                fa = shared_scheme_ndt(scheme, h, r, a, mu_t, rho).total
+                fb = shared_scheme_ndt(scheme, h, r, b, mu_t, rho).total
+                fm = shared_scheme_ndt(scheme, h, r, mid, mu_t, rho).total
+            except (RegionViolation, UnsupportedRegime):
+                skipped.append((a, b))
+                continue
+            checked += 1
+            if fm > (fa + fb) / 2:
+                violations.append((a, b))
+    return ConvexityReport(
+        scheme=scheme,
+        ok=not violations,
+        checked_pairs=checked,
+        violations=tuple(violations),
+        skipped_pairs=tuple(skipped),
+    )

@@ -111,26 +111,28 @@ def zf_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> ZfPlacement:
     return placement
 
 
+def zf_simulate(schedule, ch: ChannelMatrix | None, placement: ZfPlacement, demand) -> list[RecoveryVerdict]:
+    """``soft_simulate`` on the prefix placement, each UE's cached suffix appended.
+
+    No fronthaul messages exist anywhere on this path.
+    """
+    loc = _deliver(schedule, ch, placement.view, demand)
+    return _verify(loc, placement.view, demand, suffix=placement.w2_payload)
+
+
 def zf_deliver(
     demand,
     placement: ZfPlacement,
     t: NetworkTopology,
     ch: ChannelMatrix | None,
 ) -> tuple[list[DeliveryStep], list[RecoveryVerdict]]:
-    """Schedule and verify the EN-only delivery of the prefix subfiles.
-
-    Mechanically identical to the cloud-assisted scheduler/simulator run on
-    the prefix placement; every UE finishes by concatenating the delivered
-    and cached prefix subfiles with its whole-suffix cache copy. No
-    fronthaul messages exist anywhere on this path.
-    """
+    """Schedule and verify the EN-only delivery of the prefix subfiles."""
     schedule = soft_schedule(demand, placement.view, t)
-    loc = _deliver(schedule, ch, placement.view, demand)
-    return schedule, _verify(loc, placement.view, demand, suffix=placement.w2_payload)
+    return schedule, zf_simulate(schedule, ch, placement, demand)
 
 
-def zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:
-    """Closed-form delivery time: mu_t*(K - t_R)/min(H + t_R, K), no fronthaul."""
+def zf_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
+    """Closed-form delivery time: mu_t*(K - t_R)/min(H + t_R, K); no fronthaul, so ``rho`` is unused."""
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
     t_r = level("ZF", h, r, mu_r, mu_t)
     k = comb(h, r)
@@ -139,8 +141,8 @@ def zf_ndt(h: int, r: int, mu_r, mu_t) -> NdtValue:
     return NdtValue(total=edge, fronthaul=Fraction(0), edge=edge, scheme="zf", branch=branch)
 
 
-def zf_structural_ndt(schedule: list[DeliveryStep], placement: ZfPlacement) -> NdtValue:
-    """Delivery time re-derived from the scheduled bits; fronthaul must be 0."""
+def zf_structural_ndt(schedule: list[DeliveryStep], placement: ZfPlacement, rho=None) -> NdtValue:
+    """Delivery time re-derived from the scheduled bits; fronthaul must be 0 (``rho`` is unused)."""
     inner = soft_structural_ndt(schedule, placement.view, rho=None)
     assert inner.fronthaul == 0
     return NdtValue(

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: run, sweep, fixtures, exit codes."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from cachenet.cli import CSV_HEADER, cell, frac_str, main, parse_cell
 from cachenet.fixtures import all_fixtures
+from cachenet.schemes import SCHEMES
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,40 @@ def test_run_custom_demand(capsys):
     ])
     assert code == 0
     assert "decode: 6/6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--h", "5", "--r", "2", "--mu-r", "1/4"], "structural NDT == closed form: 15/8 at rho = 1"),
+        (["--h", "4", "--r", "2", "--mu-r", "1/6", "--mu-t", "1/2", "--rho", "1/2", "--scheme", "soft"],
+         "structural NDT == closed form: 9/4 at rho = 1/2"),
+        (["--h", "4", "--r", "2", "--mu-r", "2/3", "--mu-t", "1/2", "--scheme", "zf"],
+         "structural NDT == closed form: 1/3 at rho = 1"),
+    ],
+)
+def test_run_checks_structural_ndt_against_closed_form(capsys, argv, line):
+    assert main(["run", *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == line
+    assert sum(x.startswith("structural NDT") for x in out) == 1
+
+
+def test_run_exits_1_when_structural_ndt_disagrees(capsys, monkeypatch):
+    mdsia = SCHEMES["mdsia"]
+
+    def off_by_half(*args):
+        value = mdsia.ndt(*args)
+        return replace(value, total=value.total + Fraction(1, 2), edge=value.edge + Fraction(1, 2))
+
+    monkeypatch.setitem(SCHEMES, "mdsia", replace(mdsia, ndt=off_by_half))
+    assert main(["run", "--h", "5", "--r", "2", "--mu-r", "1/4", "--rho", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "structural NDT ==" not in captured.out
+    assert captured.err.strip() == (
+        "verification failure: scheme mdsia at rho = 1: structural NDT 3/4 + 9/8 "
+        "!= closed form 3/4 + 13/8 (fronthaul + edge)"
+    )
 
 
 # ---------------------------------------------------------------------------
