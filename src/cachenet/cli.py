@@ -21,6 +21,7 @@ from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
     InvalidConnectivity,
+    LengthError,
     NonIntegralCacheParameter,
     OutOfRange,
     PeelFailure,
@@ -62,6 +63,7 @@ CONFIG_FAILURES = (
     OutOfRange,
     InvalidConnectivity,
     IndivisibleFileSize,
+    LengthError,
     DemandLengthMismatch,
     ValueError,
     TypeError,

@@ -5,8 +5,9 @@ comes from the cache fractions through one of three normalizers: ``"L"``
 (t = mu_r*L, rank subsets at one EN), ``"K"`` (t = mu_r*K, UE subsets) and
 ``"ZF"`` (t = (mu_r + mu_t - 1)*K/mu_t, the cloud-free prefix). This module
 owns that map and its inverse, the lexicographic rank of a subset, the
-chunk count of the under-provisioned regime, and the smallest file size
-that slices into whole bytes. Cache fractions are exact rationals (ints or
+chunk count of the under-provisioned regime, the smallest file size
+that slices into whole bytes, and the read-only arrays that hold the
+compiled index tables. Cache fractions are exact rationals (ints or
 ``Fraction``); all arithmetic here stays on their integer parts.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+
+import numpy as np
 
 from .errors import NonIntegralCacheParameter, OutOfRange, RegionViolation
 
@@ -109,3 +112,10 @@ def smallest_file_bits(*constraints) -> int:
             den = unit * frac.denominator
             need = lcm(need, den // gcd(frac.numerator, den))
     return need
+
+
+def frozen_table(values, dtype=np.int64) -> np.ndarray:
+    """``values`` as a read-only array: a compiled table is shared by every caller of its cache."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr

@@ -162,6 +162,13 @@ def generator_rows(h: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=1024)
+def _decoder_rows(chunk_ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Inverse of the generator rows of the ascending ``chunk_ids``."""
+    rows = generator_rows(chunk_ids[-1], len(chunk_ids))
+    return tuple(map(tuple, gf_matrix_inv([list(rows[i - 1]) for i in chunk_ids])))
+
+
 def _gf_dot(a: list[int], b: list[int]) -> int:
     acc = 0
     for x, y in zip(a, b):
@@ -226,9 +233,7 @@ def mds_decode(chunks: list[CodedChunk]) -> bytes:
         raise LengthError("chunk payloads of unequal length")
 
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
-    rows = generator_rows(max(ids), r)
-    m = [list(rows[c.chunk_id - 1]) for c in ordered]
-    m_inv = gf_matrix_inv(m)
+    m_inv = _decoder_rows(tuple(c.chunk_id for c in ordered))
     payloads = [c.payload for c in ordered]
-    segments = [_combine(tuple(m_inv[j]), payloads) for j in range(r)]
+    segments = [_combine(m_inv[j], payloads) for j in range(r)]
     return b"".join(segments)

@@ -19,40 +19,55 @@ When the ENs also hold a cache share, every chunk splits into an EN-resident
 prefix and a cloud-resident suffix; the cloud part travels over the
 fronthaul (shrinking as the EN share grows) and the EN part is multicast
 locally with the same combinatorial structure.
+
+Everything but the payload bytes and the demand depends only on (H, r, t),
+so it is compiled once into a cached ``MdsiaGeometry`` of index tables.
+Placement keeps the coded library as one byte array and answers cache
+membership from the rule; multicasts and the peel-decode gather their
+pieces from that array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .combinatorics import level, smallest_file_bits, subset_rank
+import numpy as np
+
+from .combinatorics import frozen_table, level, smallest_file_bits, subset_rank
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
+    LengthError,
     OutOfRange,
     PeelFailure,
     ReconstructionMismatch,
     UnsupportedRegime,
 )
-from .mdscode import CodedChunk, Library, mds_decode, mds_encode, xor_bytes
+from .mdscode import CodedChunk, Library, mds_decode, mds_encode
 from .ndt import NdtValue, as_fraction
-from .topology import NetworkTopology, index, validate_demand
+from .topology import NetworkTopology, build_topology, index, validate_demand
 from .verdict import RecoveryVerdict
 
 # ---------------------------------------------------------------------------
-# labels and state
+# labels
 # ---------------------------------------------------------------------------
 
 #: delivery-path tags for the EN-share split of a chunk
 EN_PART = "en"
 CLOUD_PART = "cloud"
+#: every part tag, by its integer code in array form
+_PART_TAGS = (None, EN_PART, CLOUD_PART)
+_PART_CODE = {tag: code for code, tag in enumerate(_PART_TAGS)}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PieceLabel:
     """Identifies one piece: (file, coded chunk, rank subset, optional part).
 
@@ -84,9 +99,157 @@ class MulticastMessage:
         return (self.en, self.subset)
 
 
+# ---------------------------------------------------------------------------
+# the compiled, payload-free geometry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MdsiaGeometry:
+    """Index tables of one (H, r, t): pieces, multicasts and cache masks.
+
+    Ranks run over 1..L at every EN. ``subsets`` (the pieces of a chunk) and
+    ``groups`` (the multicasts of an EN) are the t- and (t+1)-subsets of the
+    ranks in lexicographic order, so a position is a ``subset_rank``.
+    Message slot ``(i - 1) * len(groups) + g`` is EN i's multicast to group
+    g; its member j is the UE at the group's j-th rank, which caches every
+    other member's piece and misses its own, the piece of subset
+    ``group - {rank}``. Holds no payload and no demand.
+    """
+
+    h: int
+    r: int
+    l: int
+    t: int
+    subsets: tuple[tuple[int, ...], ...]
+    subset_index: dict = field(repr=False)
+    groups: tuple[tuple[int, ...], ...] = field(repr=False)
+    message_ids: tuple[MessageId, ...] = field(repr=False)
+    # per message slot: its EN; per slot and member: the UE, its piece's
+    # subset rank, and the EN's position among the UE's serving ENs
+    slot_en: np.ndarray = field(repr=False)
+    slot_ue: np.ndarray = field(repr=False)
+    slot_piece: np.ndarray = field(repr=False)
+    slot_q: np.ndarray = field(repr=False)
+    # per slot and member: (UE, file, chunk, subset rank, part code) of its
+    # piece, with file and part left to the demand and the path (-1)
+    slot_label: np.ndarray = field(repr=False)
+    # per UE and serving EN q: the EN, the UE's rank there, and the t-subsets holding that rank
+    ue_ens: np.ndarray = field(repr=False)
+    ue_rank: np.ndarray = field(repr=False)
+    ue_cached: np.ndarray = field(repr=False)
+    # rank_at[UE, EN]: the UE's rank at the EN, 0 if not served there;
+    # contains[rank, subset]: the t-subset holds the rank (row 0 is all False)
+    rank_at: np.ndarray = field(repr=False)
+    contains: np.ndarray = field(repr=False)
+
+
+@lru_cache(maxsize=64)
+def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
+    """Compile the pieces, multicasts and cache masks of (H, r, t); cached."""
+    top = build_topology(h, r)
+    ranks = range(1, top.l + 1)
+    subsets = tuple(combinations(ranks, t))
+    groups = tuple(combinations(ranks, t + 1))
+    contains = np.zeros((top.l + 1, len(subsets)), dtype=bool)
+    for pos, s in enumerate(subsets):
+        contains[list(s), pos] = True
+    served = np.array(top.en_to_ues, dtype=np.int64)  # (H, L): UE at each rank
+    ue_ens = np.array(top.ue_to_ens, dtype=np.int64)
+    ues = np.arange(1, top.k + 1)[:, None]
+    rank_at = np.zeros((top.k + 1, h + 1), dtype=np.int64)
+    rank_at[served, np.arange(1, h + 1)[:, None]] = ranks
+    q_at = np.zeros((top.k + 1, h + 1), dtype=np.int64)
+    q_at[ues, ue_ens] = np.arange(r)
+    ue_rank = rank_at[ues, ue_ens]
+
+    members = np.array(groups, dtype=np.int64).reshape(len(groups), t + 1)
+    piece = [[subset_rank(s[:j] + s[j + 1 :], ranks) for j in range(t + 1)] for s in groups]
+    slot_en = np.repeat(np.arange(1, h + 1), len(groups))
+    slot_ue = served[slot_en[:, None] - 1, np.tile(members - 1, (h, 1))]
+    slot_piece = np.tile(np.array(piece, dtype=np.int64).reshape(members.shape), (h, 1))
+    slot_label = np.full(slot_ue.shape + (5,), -1, dtype=np.int64)
+    slot_label[..., 0], slot_label[..., 2], slot_label[..., 3] = slot_ue, slot_en[:, None], slot_piece
+    return MdsiaGeometry(
+        h=h,
+        r=r,
+        l=top.l,
+        t=t,
+        subsets=subsets,
+        subset_index={s: pos for pos, s in enumerate(subsets)},
+        groups=groups,
+        message_ids=tuple((i, s) for i in range(1, h + 1) for s in groups),
+        slot_en=frozen_table(slot_en),
+        slot_ue=frozen_table(slot_ue),
+        slot_piece=frozen_table(slot_piece),
+        slot_q=frozen_table(q_at[slot_ue, slot_en[:, None]]),
+        slot_label=frozen_table(slot_label),
+        ue_ens=frozen_table(ue_ens),
+        ue_rank=frozen_table(ue_rank),
+        ue_cached=frozen_table(contains[ue_rank], bool),
+        rank_at=frozen_table(rank_at),
+        contains=frozen_table(contains, bool),
+    )
+
+
+# ---------------------------------------------------------------------------
+# placement state: the coded library plus the cache rule
+# ---------------------------------------------------------------------------
+
+
+class PieceSet(Set):
+    """The pieces one node caches, as a read-only set decided by the cache rule.
+
+    ``ranks`` maps every EN whose chunk the node holds pieces of to the rank
+    each held piece's subset must contain (0: every subset). Membership,
+    length and iteration follow from it, file ids 1..n_files and the part
+    ``tags``; no label is stored.
+    """
+
+    __slots__ = ("_geometry", "_n_files", "_ranks", "tags")
+
+    def __init__(self, geometry: MdsiaGeometry, n_files: int, ranks: dict[int, int], tags: tuple):
+        self._geometry = geometry
+        self._n_files = n_files
+        self._ranks = ranks
+        self.tags = tags
+
+    def __contains__(self, label) -> bool:
+        if not isinstance(label, PieceLabel) or label.part not in self.tags:
+            return False
+        rank = self._ranks.get(label.chunk)
+        return (
+            rank is not None
+            and 1 <= label.file <= self._n_files
+            and label.subset in self._geometry.subset_index
+            and (rank == 0 or rank in label.subset)
+        )
+
+    def __len__(self) -> int:
+        g = self._geometry
+        per_rank = comb(g.l - 1, g.t - 1) if g.t else 0
+        held = sum(per_rank if rank else len(g.subsets) for rank in self._ranks.values())
+        return held * self._n_files * len(self.tags)
+
+    def __iter__(self):
+        for chunk, rank in self._ranks.items():
+            for s in self._geometry.subsets:
+                if not rank or rank in s:
+                    for n in range(1, self._n_files + 1):
+                        for tag in self.tags:
+                            yield PieceLabel(n, chunk, s, tag)
+
+    def __repr__(self) -> str:
+        return f"PieceSet({len(self)} pieces)"
+
+
 @dataclass(frozen=True)
 class PlacementState:
-    """Cache contents of every node plus the piece store geometry."""
+    """Cache contents of every node plus the piece store geometry.
+
+    ``ue_caches``/``en_caches`` are read-only ``PieceSet`` views per node;
+    the coded library is one ``(N, H, chunk bytes)`` array.
+    """
 
     topology: NetworkTopology
     library: Library
@@ -95,13 +258,17 @@ class PlacementState:
     mu_t: Fraction
     en_part_bits: int
     cloud_part_bits: int
-    ue_caches: dict[int, frozenset[PieceLabel]]
-    en_caches: dict[int, frozenset[PieceLabel]]
-    _chunks: dict[tuple[int, int], bytes] = field(repr=False)
+    ue_caches: Mapping[int, PieceSet]
+    en_caches: Mapping[int, PieceSet]
+    _coded: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def geometry(self) -> MdsiaGeometry:
+        return mdsia_geometry(self.topology.h, self.topology.r, self.t_e)
 
     @property
     def rank_subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(1, self.topology.l + 1), self.t_e))
+        return list(self.geometry.subsets)
 
     def parts(self) -> list[tuple[str | None, str, int]]:
         """Active chunk parts as (label tag, delivery path, bits).
@@ -124,26 +291,46 @@ class PlacementState:
             return self.cloud_part_bits // n_subsets
         return (self.en_part_bits + self.cloud_part_bits) // n_subsets
 
+    def part_start(self, part: str | None) -> int:
+        """First byte of a part within its chunk."""
+        return self.en_part_bits // 8 if part == CLOUD_PART else 0
+
+    @cached_property
+    def _part_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per part code (-1 last): whether the caches hold the part, its piece bytes, its first byte."""
+        held = [tag for tag, _, _ in self.parts()]
+        return (
+            np.array([tag in held for tag in _PART_TAGS] + [False]),
+            np.array([self.piece_bits(tag) // 8 for tag in _PART_TAGS] + [0], dtype=np.int64),
+            np.array([self.part_start(tag) for tag in _PART_TAGS] + [0], dtype=np.int64),
+        )
+
+    def pieces(self, part: str | None) -> np.ndarray:
+        """Read-only ``(N, H, C(L, t), piece bytes)`` view of every piece of a part."""
+        lib, size = self.library, self.piece_bits(part) // 8
+        lo = self.part_start(part)
+        n_sub = len(self.geometry.subsets)
+        return self._coded[:, :, lo : lo + n_sub * size].reshape(lib.n_files, self.topology.h, n_sub, size)
+
     def chunk_payload(self, file: int, chunk: int) -> bytes:
-        return self._chunks[(file, chunk)]
+        if not (1 <= file <= self.library.n_files and 1 <= chunk <= self.topology.h):
+            raise OutOfRange(f"no coded chunk {chunk} of file {file}")
+        return self._coded[file - 1, chunk - 1].tobytes()
 
     def piece_payload(self, label: PieceLabel) -> bytes:
-        chunk = self.chunk_payload(label.file, label.chunk)
-        if label.part == EN_PART:
-            seg = chunk[: self.en_part_bits // 8]
-        elif label.part == CLOUD_PART:
-            seg = chunk[self.en_part_bits // 8:]
-        else:
-            seg = chunk
         size = self.piece_bits(label.part) // 8
-        rank = subset_rank(label.subset, range(1, self.topology.l + 1))
-        return seg[rank * size:(rank + 1) * size]
+        lo = self.part_start(label.part) + subset_rank(label.subset, range(1, self.topology.l + 1)) * size
+        return self.chunk_payload(label.file, label.chunk)[lo : lo + size]
 
     def ue_cache_bits(self, ue: int) -> int:
-        return sum(self.piece_bits(lb.part) for lb in self.ue_caches[ue])
+        return self._cache_bits(self.ue_caches[ue])
 
     def en_cache_bits(self, en: int) -> int:
-        return sum(self.piece_bits(lb.part) for lb in self.en_caches[en])
+        return self._cache_bits(self.en_caches[en])
+
+    def _cache_bits(self, cache: PieceSet) -> int:
+        per_tag = len(cache) // len(cache.tags) if cache.tags else 0
+        return per_tag * sum(self.piece_bits(tag) for tag in cache.tags)
 
 
 def minimal_file_bits(t: NetworkTopology, t_e: int, mu_t) -> int:
@@ -170,6 +357,9 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
     per-UE cache then fills exactly ``mu_r * N * F`` bits. Each EN caches the
     leading ``min(mu_t, 1/r) * F`` bits of its own chunk of every file.
 
+    The library is MDS-coded into one byte array; the caches are views that
+    apply this rule, so placement builds no labels.
+
     Raises
     ------
     NonIntegralCacheParameter
@@ -190,38 +380,17 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
     en_bits = int(min(mu_t, Fraction(1, t.r)) * f_bits)
     cloud_bits = f_bits // t.r - en_bits
 
-    chunks: dict[tuple[int, int], bytes] = {}
-    for n in range(1, lib.n_files + 1):
-        for c in mds_encode(lib.file(n), t.h, t.r, file_id=n):
-            chunks[(n, c.chunk_id)] = c.payload
-
-    part_tags = [EN_PART, CLOUD_PART] if en_bits and cloud_bits else [None]
-    subsets = list(combinations(range(1, t.l + 1), t_e))
-
-    ue_caches: dict[int, frozenset[PieceLabel]] = {}
-    for k in range(1, t.k + 1):
-        labels = []
-        for i in t.ens_of_ue(k):
-            rank = index(t, i, k)
-            for subset in subsets:
-                if rank not in subset:
-                    continue
-                for n in range(1, lib.n_files + 1):
-                    for tag in part_tags:
-                        labels.append(PieceLabel(n, i, subset, tag))
-        ue_caches[k] = frozenset(labels)
-
-    en_caches: dict[int, frozenset[PieceLabel]] = {}
-    for i in range(1, t.h + 1):
-        if en_bits == 0:
-            en_caches[i] = frozenset()
-            continue
-        tag = EN_PART if cloud_bits else None
-        en_caches[i] = frozenset(
-            PieceLabel(n, i, subset, tag)
-            for n in range(1, lib.n_files + 1)
-            for subset in subsets
-        )
+    coded = b"".join(
+        c.payload for n in range(1, lib.n_files + 1) for c in mds_encode(lib.file(n), t.h, t.r, file_id=n)
+    )
+    g = mdsia_geometry(t.h, t.r, t_e)
+    tags = (EN_PART, CLOUD_PART) if en_bits and cloud_bits else (None,)
+    ue_caches = {
+        k: PieceSet(g, lib.n_files, dict(zip(ens, ranks)), tags)
+        for k, ens, ranks in zip(range(1, t.k + 1), g.ue_ens.tolist(), g.ue_rank.tolist())
+    }
+    en_tags = ((EN_PART if cloud_bits else None),) if en_bits else ()
+    en_caches = {i: PieceSet(g, lib.n_files, {i: 0}, en_tags) for i in range(1, t.h + 1)}
 
     return PlacementState(
         topology=t,
@@ -231,9 +400,9 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
         mu_t=mu_t,
         en_part_bits=en_bits,
         cloud_part_bits=cloud_bits,
-        ue_caches=ue_caches,
-        en_caches=en_caches,
-        _chunks=chunks,
+        ue_caches=MappingProxyType(ue_caches),
+        en_caches=MappingProxyType(en_caches),
+        _coded=frozen_table(np.frombuffer(coded, dtype=np.uint8).reshape(lib.n_files, t.h, -1), np.uint8),
     )
 
 
@@ -245,25 +414,22 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
 def _multicast(demand, placement: PlacementState, t: NetworkTopology, path: str) -> list[MulticastMessage]:
     demand = validate_demand(demand, t, placement.library.n_files)
     spec = next((s for s in placement.parts() if s[1] == path), None)
-    if spec is None:
+    g = placement.geometry
+    if spec is None or not g.groups:
         return []
-    tag, _, _ = spec
-    t_e = placement.t_e
+    tag = spec[0]
+    # every member's piece in one gather, XORed over the members of each message
+    files = np.asarray(demand, dtype=np.int64)[g.slot_ue - 1]
+    payloads = np.bitwise_xor.reduce(placement.pieces(tag)[files - 1, g.slot_en[:, None] - 1, g.slot_piece], axis=1)
+    size = payloads.shape[-1]
+    blob = payloads.tobytes()
+    subsets = g.subsets
     messages = []
-    for i in range(1, t.h + 1):
-        served = t.ues_of_en(i)
-        rank_of = {index(t, i, k): k for k in served}
-        for s in combinations(range(1, t.l + 1), t_e + 1):
-            members = []
-            payload = bytes(placement.piece_bits(tag) // 8)
-            for rank in s:
-                k = rank_of[rank]
-                label = PieceLabel(demand[k - 1], i, tuple(x for x in s if x != rank), tag)
-                members.append((k, label))
-                payload = xor_bytes(payload, placement.piece_payload(label))
-            messages.append(
-                MulticastMessage(en=i, subset=s, payload=payload, members=tuple(members))
-            )
+    for slot, ((i, s), ues, ns, pieces) in enumerate(
+        zip(g.message_ids, g.slot_ue.tolist(), files.tolist(), g.slot_piece.tolist())
+    ):
+        members = tuple([(k, PieceLabel(n, i, subsets[p], tag)) for k, n, p in zip(ues, ns, pieces)])
+        messages.append(MulticastMessage(i, s, blob[slot * size : (slot + 1) * size], members))
     return messages
 
 
@@ -631,6 +797,8 @@ def mdsia_deliver(demand, placement: PlacementState, t: NetworkTopology) -> Mdsi
     return MdsiaDelivery(cloud, local, mats, plan)
 
 
+
+
 # ---------------------------------------------------------------------------
 # bit-level decode check
 # ---------------------------------------------------------------------------
@@ -650,65 +818,147 @@ def mdsia_decode_check(
     parts) reassemble the chunk, and the UE's r chunks decode the file,
     compared bit-exactly against the library.
 
+    The messages are checked as given: every member label is tested against
+    the peeling UE's cache rule, and the pieces come from the members'
+    own labels. Failures are reported as a scan over UEs, serving ENs,
+    parts and subsets in order would first meet them.
+
     Raises
     ------
     PeelFailure
-        If a multicast member the UE must cancel is not in its cache.
+        If a message is missing, does not address the UE by its own piece,
+        or has a member the UE must cancel but does not cache.
+    LengthError
+        If a payload is not one piece long.
     ReconstructionMismatch
         If a decoded file differs from the library copy.
     """
     demand = validate_demand(demand, t, placement.library.n_files, warn_repeats=False)
-    by_path = {
-        "cloud": {m.id: m for m in cloud_msgs},
-        "local": {m.id: m for m in local_msgs},
-    }
-    subsets = placement.rank_subsets
-    lib = placement.library
+    g, lib = placement.geometry, placement.library
+    want = np.asarray(demand, dtype=np.int64)
+    parts = placement.parts()
+    # scan positions advance by 2 per (UE, serving EN, part, subset), so that
+    # a UE's mismatch (odd) sorts after all its peels and before the next UE
+    block = 2 * t.r * len(parts) * len(g.subsets)
+    first_failure = None
+    assembled = []
+    for p, (tag, path, _) in enumerate(parts):
+        pieces = placement.pieces(tag)[want[:, None] - 1, g.ue_ens - 1]  # (K, r, subsets, bytes)
+        pieces[~g.ue_cached] = 0
+        failure = _peel_path(cloud_msgs if path == "cloud" else local_msgs, p, path, placement, want, pieces)
+        if failure is not None and (first_failure is None or failure[0] < first_failure[0]):
+            first_failure = failure
+        assembled.append(pieces.reshape(t.k, t.r, -1))
+    chunks = np.concatenate(assembled, axis=2)
 
     verdicts = []
-    for k in range(1, t.k + 1):
-        n = demand[k - 1]
-        chunks = []
-        for i in t.ens_of_ue(k):
-            rank = index(t, i, k)
-            part_bytes = []
-            for tag, path, _ in placement.parts():
-                pieces = {}
-                for subset in subsets:
-                    label = PieceLabel(n, i, subset, tag)
-                    if rank in subset:
-                        if label not in placement.ue_caches[k]:
-                            raise PeelFailure(f"UE {k} missing cached piece {label}")
-                        pieces[subset] = placement.piece_payload(label)
-                    else:
-                        s = tuple(sorted(subset + (rank,)))
-                        msg = by_path[path].get((i, s))
-                        if msg is None:
-                            raise PeelFailure(f"multicast ({i},{s}) absent on path {path}")
-                        pieces[subset] = _peel(msg, k, label, placement)
-                part_bytes.append(b"".join(pieces[s] for s in subsets))
-            chunks.append(CodedChunk(file_id=n, chunk_id=i, payload=b"".join(part_bytes)))
-        rebuilt = mds_decode(chunks)
+    for k, (n, ens, row) in enumerate(zip(demand, g.ue_ens.tolist(), chunks), start=1):
+        if first_failure is not None and first_failure[0] < k * block:
+            raise first_failure[1]
+        rebuilt = mds_decode([CodedChunk(file_id=n, chunk_id=i, payload=c.tobytes()) for i, c in zip(ens, row)])
         if rebuilt != lib.file(n):
             raise ReconstructionMismatch(f"UE {k} rebuilt file {n} incorrectly")
         verdicts.append(RecoveryVerdict(ue=k, file_id=n, ok=True))
     return verdicts
 
 
-def _peel(msg: MulticastMessage, k: int, own: PieceLabel, placement: PlacementState) -> bytes:
-    acc = msg.payload
-    seen_own = False
-    for member_ue, label in msg.members:
-        if member_ue == k:
-            assert label == own, "multicast member bookkeeping is inconsistent"
-            seen_own = True
-            continue
-        if label not in placement.ue_caches[k]:
-            raise PeelFailure(f"UE {k} cannot cancel {label} (not cached)")
-        acc = xor_bytes(acc, placement.piece_payload(label))
-    if not seen_own:
-        raise PeelFailure(f"UE {k} is not an addressee of multicast {msg.id}")
-    return acc
+#: the UE column of the padding after a message's last member
+_NO_MEMBER = np.iinfo(np.int64).min
+
+
+def _member_row(ue, label, subset_index) -> tuple[int, int, int, int, int]:
+    # (UE, file, chunk, subset rank, part code); -1 where the label names nothing
+    if not isinstance(label, PieceLabel):
+        return (ue, -1, -1, -1, -1)
+    return (ue, label.file, label.chunk, subset_index.get(label.subset, -1), _PART_CODE.get(label.part, -1))
+
+
+def _peel_path(msgs, p: int, path: str, placement: PlacementState, want: np.ndarray, pieces: np.ndarray):
+    """Peel the messages of one path into ``pieces``; return its first failure.
+
+    Message slot s is peeled by the UEs ``slot_ue[s]``. A peeler skips its
+    own members, which must carry exactly the label of its missing piece,
+    and XORs out every other member's piece, which it must cache and which
+    must be as long as the payload. ``pieces[k - 1, q, s]`` receives what UE
+    k peels for subset s at its q-th serving EN. Returns ``(scan position,
+    exception)`` of the earliest failing peel, or None.
+    """
+    g, t = placement.geometry, placement.topology
+    n_slots = len(g.message_ids)
+    if not n_slots:
+        return None
+    tag, size = placement.parts()[p][0], pieces.shape[-1]
+    given = {m.id: m for m in msgs}
+    found = [given.get(mid) for mid in g.message_ids]
+    rows = [[_member_row(k, lb, g.subset_index) for k, lb in m.members] if m else [] for m in found]
+    span = max(map(len, rows))
+    if all(len(row) == span for row in rows):
+        table = np.array(rows, dtype=np.int64).reshape(n_slots, span, 5)
+    else:
+        table = np.full((n_slots, span, 5), -1, dtype=np.int64)
+        table[..., 0] = _NO_MEMBER
+        for slot, row in enumerate(rows):
+            if row:
+                table[slot, : len(row)] = row
+    m_ue, m_file, m_chunk, m_sub, m_part = table.transpose(2, 0, 1)  # (slots, span) each
+    plen = np.array([len(m.payload) if m else size for m in found], dtype=np.int64)
+    payload = np.frombuffer(
+        b"".join(m.payload if m and len(m.payload) == size else bytes(size) for m in found), dtype=np.uint8
+    ).reshape(n_slots, size)
+
+    # per member: does its label name a piece of this placement, and where
+    held, part_size, part_lo = (per_code[m_part] for per_code in placement._part_tables)
+    real = held & (m_file >= 1) & (m_file <= placement.library.n_files) & (m_sub >= 0)
+    real &= (m_chunk >= 1) & (m_chunk <= t.h)
+    # per (slot, peeler j, member w): the peeler's own member, which must
+    # carry its missing piece's label, or another one it must have cached
+    expect = np.array(g.slot_label)
+    expect[:, :, 1] = want[g.slot_ue - 1]
+    expect[:, :, 4] = _PART_CODE[tag]
+    same = table[:, None] == expect[:, :, None]
+    own = same[..., 0]
+    other = (m_ue != _NO_MEMBER)[:, None] & ~own
+    rank = g.rank_at[g.slot_ue[:, :, None], (m_chunk * real)[:, None, :]]
+    cached = real[:, None, :] & g.contains[rank, (m_sub * real)[:, None, :]]
+    cancels = cached & (part_size == plen[:, None])[:, None]
+    fails = (own & ~same[..., 1:].all(axis=3)) | (other & ~cancels)
+
+    # peel: the payload XOR every other member's piece, gathered by its own label
+    fits = real & (part_size == size)
+    lo = (part_lo + m_sub * part_size) * fits
+    files, chunks = (m_file - 1) * fits, (m_chunk - 1) * fits
+    got = placement._coded[files[..., None], chunks[..., None], lo[..., None] + np.arange(size)]
+    peeled = payload[:, None] ^ np.bitwise_xor.reduce(got[:, None] * other[..., None], axis=2)
+    pieces[g.slot_ue - 1, g.slot_q, g.slot_piece] = peeled
+
+    failed_member = fails.any(axis=2)
+    unaddressed = ~own.any(axis=2)
+    absent = np.array([m is None for m in found])
+    bad = failed_member | unaddressed | absent[:, None] | (plen != size)[:, None]
+    if not bad.any():
+        return None
+    scan = ((g.slot_ue - 1) * t.r + g.slot_q) * len(placement.parts()) + p
+    pos = 2 * (scan * len(g.subsets) + g.slot_piece)
+    slot, j = np.unravel_index(np.argmin(np.where(bad, pos, pos.max() + 1)), bad.shape)
+    k, msg = int(g.slot_ue[slot, j]), found[slot]
+    if msg is None:
+        i, s = g.message_ids[slot]
+        error = PeelFailure(f"multicast ({i},{s}) absent on path {path}")
+    elif failed_member[slot, j]:
+        w = int(np.argmax(fails[slot, j]))
+        label = msg.members[w][1]
+        if own[slot, j, w]:
+            missing = PieceLabel(int(want[k - 1]), msg.en, g.subsets[g.slot_piece[slot, j]], tag)
+            error = PeelFailure(f"multicast {msg.id} addresses UE {k} with {label}, not its missing piece {missing}")
+        elif not cached[slot, j, w]:
+            error = PeelFailure(f"UE {k} cannot cancel {label} (not cached)")
+        else:
+            error = LengthError(f"xor of unequal lengths {plen[slot]} != {part_size[slot, w]}")
+    elif unaddressed[slot, j]:
+        error = PeelFailure(f"UE {k} is not an addressee of multicast {msg.id}")
+    else:
+        error = LengthError(f"multicast {msg.id} carries {plen[slot]} bytes, its pieces {size}")
+    return int(pos[slot, j]), error
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .channel import (
     ChannelMatrix,
     beamformers_for,
 )
-from .combinatorics import chunk_count, level, smallest_file_bits
+from .combinatorics import chunk_count, frozen_table, level, smallest_file_bits
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
@@ -104,18 +104,12 @@ CASE_CHUNKED = "chunked"
 # ---------------------------------------------------------------------------
 
 
-def _frozen(values, dtype=np.int64) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    arr.flags.writeable = False  # shared by every caller of the cache
-    return arr
-
-
 def _membership(sets, k: int) -> np.ndarray:
     """(len(sets), K+1) table: entry [i, u] says UE u lies in sets[i]."""
     table = np.zeros((len(sets), k + 1), dtype=bool)
     for i, s in enumerate(sets):
         table[i, list(s)] = True
-    return _frozen(table, bool)
+    return frozen_table(table, bool)
 
 
 @dataclass(frozen=True)
@@ -256,9 +250,9 @@ def delivery_geometry(h: int, k: int, t: int) -> DeliveryGeometry:
         pi_member=_membership(pis, k),
         pi_primes=pi_primes,
         pi_prime_index=pi_prime_index,
-        piece_key=_frozen(piece_key),
-        piece_subset=_frozen(np.asarray(piece_subset, dtype=np.int64)[order]),
-        piece_chunk=_frozen(np.asarray(piece_chunk, dtype=np.int64)[order]),
+        piece_key=frozen_table(piece_key),
+        piece_subset=frozen_table(np.asarray(piece_subset, dtype=np.int64)[order]),
+        piece_chunk=frozen_table(np.asarray(piece_chunk, dtype=np.int64)[order]),
         steps=tuple(
             (pi_primes[pps[0]], tuple(ues), tuple(subsets[r] for r in srs), tuple(pis[p] for p in prs))
             for pps, ues, srs, prs in zip(*(a.tolist() for a in (step_pp, step_ue, step_subset, step_pi)))
@@ -313,7 +307,7 @@ def delivery_plan(h: int, k: int, t: int, part_bits: tuple[tuple[str, int], ...]
         geometry=geometry,
         parts=tuple(p for p, _ in part_bits),
         layout=tuple(layout),
-        cached=_frozen(np.repeat(geometry.subset_member[:, 1:].T, chunks, axis=1), bool),
+        cached=frozen_table(np.repeat(geometry.subset_member[:, 1:].T, chunks, axis=1), bool),
     )
 
 

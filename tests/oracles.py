@@ -138,6 +138,69 @@ def assemble_by_labels(ue: int, want: int, placement, delivered: dict) -> bytes:
     return b"".join(pieces)
 
 
+def mdsia_by_labels(placement, demand):
+    """Caches and multicasts of an mdsia placement, written out label by label.
+
+    Returns ``(ue_caches, en_caches, cloud, local, piece)``: frozensets of
+    ``PieceLabel`` per UE and per EN; per delivery path the messages as
+    ``(en, subset, payload, members)`` tuples in EN-then-subset order; and
+    ``piece(label)``, the bytes of one piece. Walks
+    every (UE, file, chunk, subset, part) with ``itertools.combinations``,
+    cuts each piece from ``mds_encode`` output by byte slicing, and XORs the
+    members' pieces byte by byte. Uses none of the library's rank, layout or
+    multicast code.
+    """
+    t, lib, t_e = placement.topology, placement.library, placement.t_e
+    f_bits = lib.file_size_bits
+    en_bits = int(min(placement.mu_t, Fraction(1, t.r)) * f_bits)
+    cloud_bits = f_bits // t.r - en_bits
+    ranks = list(range(1, t.l + 1))
+    subsets = list(combinations(ranks, t_e))
+    files = range(1, lib.n_files + 1)
+    tags = ["en", "cloud"] if en_bits and cloud_bits else [None]
+    chunks = {
+        (n, c.chunk_id): c.payload for n in files for c in cn.mds_encode(lib.file(n), t.h, t.r, file_id=n)
+    }
+
+    def piece(label):
+        start, bits = {None: (0, en_bits + cloud_bits), "en": (0, en_bits), "cloud": (en_bits, cloud_bits)}[label.part]
+        size = bits // 8 // len(subsets)
+        at = start // 8 + subsets.index(label.subset) * size
+        return chunks[(label.file, label.chunk)][at : at + size]
+
+    ue_caches = {}
+    for k in range(1, t.k + 1):
+        labels = set()
+        for i in t.ens_of_ue(k):
+            rank = t.ues_of_en(i).index(k) + 1
+            labels |= {cn.PieceLabel(n, i, s, tag) for s in subsets if rank in s for n in files for tag in tags}
+        ue_caches[k] = frozenset(labels)
+    en_tag = "en" if cloud_bits else None
+    en_caches = {
+        i: frozenset(cn.PieceLabel(n, i, s, en_tag) for n in files for s in subsets if en_bits)
+        for i in range(1, t.h + 1)
+    }
+
+    paths = {"local": en_bits, "cloud": cloud_bits}
+    messages = {path: [] for path in paths}
+    for path, bits in paths.items():
+        if not bits:
+            continue
+        tag = tags[0 if path == "local" else -1]
+        for i in range(1, t.h + 1):
+            for s in combinations(ranks, t_e + 1):
+                ues = [t.ues_of_en(i)[rank - 1] for rank in s]
+                members = tuple(
+                    (k, cn.PieceLabel(demand[k - 1], i, tuple(x for x in s if x != rank), tag))
+                    for k, rank in zip(ues, s)
+                )
+                payload = bytes(bits // 8 // len(subsets))
+                for _, label in members:
+                    payload = bytes(a ^ b for a, b in zip(payload, piece(label)))
+                messages[path].append((i, s, payload, members))
+    return ue_caches, en_caches, messages["cloud"], messages["local"], piece
+
+
 #: hand-evaluated expected values, frozen before the implementation ran
 FROZEN = {
     # coded-placement NDT at (h=5, r=2, mu_r=1/4, mu_t=3/10, rho=1):

@@ -163,6 +163,8 @@ def test_config_errors_exit_2(capsys):
     # cache fractions outside [0, 1], on the sharing and the placement paths
     assert main(["sweep", "--h", "5", "--r", "2", "--mu-r-list", "2", "--rhos", "1"]) == 2
     assert main(["run", "--h", "5", "--r", "2", "--mu-r", "5/4", "--scheme", "mdsia"]) == 2
+    # a file size that is not whole bytes
+    assert main(["run", "--h", "4", "--r", "2", "--mu-r", "1/3", "--scheme", "soft", "--file-bits", "7"]) == 2
     capsys.readouterr()
 
 

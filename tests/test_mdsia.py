@@ -1,7 +1,11 @@
 """Tests for erasure-coded placement with aligned-interference delivery."""
 
 import dataclasses
+import re
+import tracemalloc
+import warnings
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -10,14 +14,17 @@ import cachenet as cn
 from cachenet.errors import (
     DemandLengthMismatch,
     IndivisibleFileSize,
+    LengthError,
     NonDistinctDemand,
     NonIntegralCacheParameter,
     OutOfRange,
+    PeelFailure,
     ReconstructionMismatch,
     UnsupportedRegime,
 )
 
-from oracles import FROZEN
+from cachenet.mdsia import mdsia_geometry
+from oracles import FROZEN, mdsia_by_labels
 
 
 def make_pipeline(h, r, mu_r, mu_t, seed=7, demand=None):
@@ -262,6 +269,203 @@ def test_decode_check_catches_a_corrupted_multicast():
     )
     with pytest.raises(ReconstructionMismatch):
         cn.mdsia_decode_check(demand, pl, [bad] + cloud[1:], local, t)
+
+
+def replace_member(msg, ue, label=None):
+    """``msg`` with UE ``ue``'s member relabelled to ``label`` (dropped if None)."""
+    members = tuple(
+        (k, label if k == ue else lb) for k, lb in msg.members if k != ue or label is not None
+    )
+    return dataclasses.replace(msg, members=members)
+
+
+def test_decode_check_names_a_dropped_message():
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    with pytest.raises(PeelFailure, match=re.escape("multicast (1,(1, 2)) absent on path cloud")):
+        cn.mdsia_decode_check(demand, pl, cloud[1:], local, t)
+
+
+def test_decode_check_names_a_member_the_peeler_cannot_cancel():
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    assert cloud[0].id == (1, (1, 2)) and [k for k, _ in cloud[0].members] == [1, 2]
+    # UE 1 holds rank 1 of EN 1, so it caches no piece of subset (3,)
+    bad = replace_member(cloud[0], 2, cn.PieceLabel(2, 1, (3,)))
+    want = "UE 1 cannot cancel PieceLabel(file=2, chunk=1, subset=(3,), part=None) (not cached)"
+    with pytest.raises(PeelFailure, match=re.escape(want)):
+        cn.mdsia_decode_check(demand, pl, [bad] + cloud[1:], local, t)
+
+
+def test_decode_check_names_a_peeler_missing_from_the_members():
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    bad = replace_member(cloud[0], 1)
+    with pytest.raises(PeelFailure, match=re.escape("UE 1 is not an addressee of multicast (1, (1, 2))")):
+        cn.mdsia_decode_check(demand, pl, [bad] + cloud[1:], local, t)
+
+
+def test_decode_check_catches_a_corrupted_local_part():
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), Fraction(3, 10))
+    assert [tag for tag, _, _ in pl.parts()] == ["en", "cloud"]  # chunks are split
+    bad = dataclasses.replace(local[0], payload=bytes(b ^ 0x01 for b in local[0].payload))
+    with pytest.raises(ReconstructionMismatch, match=re.escape("UE 1 rebuilt file 1 incorrectly")):
+        cn.mdsia_decode_check(demand, pl, cloud, [bad] + local[1:], t)
+
+
+def test_decode_check_reports_the_first_failure_in_scan_order():
+    # UEs are scanned in order: UE 3 peels the corrupted message, UE 7 the
+    # dropped one, UE 8 the relabelled one; each failure shows once the
+    # earlier ones are repaired
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    by_id = {m.id: m for m in cloud}
+    corrupt = dataclasses.replace(by_id[(1, (3, 4))], payload=b"\x5a")
+    relabelled = replace_member(by_id[(3, (3, 4))], 9, cn.PieceLabel(9, 3, (1,)))
+    dropped = (5, (2, 3))
+
+    def run(*tampered):
+        swap = {m.id: m for m in tampered}
+        msgs = [swap.get(m.id, m) for m in cloud if m.id != dropped or dropped in swap]
+        return cn.mdsia_decode_check(demand, pl, msgs, local, t)
+
+    with pytest.raises(ReconstructionMismatch, match=re.escape("UE 3 rebuilt file 3 incorrectly")):
+        run(corrupt, relabelled)
+    with pytest.raises(PeelFailure, match=re.escape("multicast (5,(2, 3)) absent on path cloud")):
+        run(relabelled)
+    want = "UE 8 cannot cancel PieceLabel(file=9, chunk=3, subset=(1,), part=None) (not cached)"
+    with pytest.raises(PeelFailure, match=re.escape(want)):
+        run(relabelled, by_id[dropped])
+
+
+def test_decode_check_names_a_wrong_own_label():
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    bad = replace_member(cloud[0], 1, cn.PieceLabel(3, 1, (2,)))
+    want = (
+        "multicast (1, (1, 2)) addresses UE 1 with PieceLabel(file=3, chunk=1, subset=(2,), part=None), "
+        "not its missing piece PieceLabel(file=1, chunk=1, subset=(2,), part=None)"
+    )
+    with pytest.raises(PeelFailure, match=re.escape(want)):
+        cn.mdsia_decode_check(demand, pl, [bad] + cloud[1:], local, t)
+
+
+def test_decode_check_rejects_pieces_of_the_wrong_length():
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), Fraction(3, 10))
+    bad = dataclasses.replace(local[0], payload=local[0].payload * 2)
+    with pytest.raises(LengthError, match=re.escape("xor of unequal lengths 6 != 3")):
+        cn.mdsia_decode_check(demand, pl, cloud, [bad] + local[1:], t)
+    # UE 1 caches this 2-byte cloud piece, but the local payload is 3 bytes long
+    other_part = replace_member(local[0], 2, cn.PieceLabel(2, 1, (1,), "cloud"))
+    assert other_part.members[1][1] in pl.ue_caches[1]
+    with pytest.raises(LengthError, match=re.escape("xor of unequal lengths 3 != 2")):
+        cn.mdsia_decode_check(demand, pl, cloud, [other_part] + local[1:], t)
+
+
+def test_decode_check_peels_an_extra_member_with_the_rest():
+    # the first addressee caches the extra piece, XORs it out and so keeps a
+    # spoiled piece; without it cached, the same message fails the peel
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    for extra, error, want in (
+        (cn.PieceLabel(5, 1, (1,)), ReconstructionMismatch, "UE 1 rebuilt file 1 incorrectly"),
+        (cn.PieceLabel(5, 1, (2,)), PeelFailure, "UE 1 cannot cancel PieceLabel(file=5, chunk=1, subset=(2,)"),
+    ):
+        spoiled = dataclasses.replace(cloud[0], members=cloud[0].members + ((3, extra),))
+        with pytest.raises(error, match=re.escape(want)):
+            cn.mdsia_decode_check(demand, pl, [spoiled] + cloud[1:], local, t)
+
+
+# ---------------------------------------------------------------------------
+# caches and multicasts against the label-level oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_POINTS = [
+    (h, r, t_e, mu_t)
+    for h, r in ((3, 2), (4, 2), (5, 2), (4, 3))
+    for t_e in range(comb(h - 1, r - 1) + 1)
+    if r == 2 or t_e >= comb(h - 1, r - 1) - 2
+    for mu_t in (Fraction(0), Fraction(3, 10), Fraction(1))
+] + [(10, 2, 3, Fraction(1, 4))]
+
+
+def assert_matches_oracle(pl, demand, cloud, local):
+    """Views, cache sizes and every multicast equal the label-by-label oracle."""
+    t = pl.topology
+    ue_caches, en_caches, cloud_o, local_o, piece = mdsia_by_labels(pl, demand)
+    universe = [
+        cn.PieceLabel(n, i, s, tag)
+        for n in range(1, pl.library.n_files + 2)
+        for i in range(1, t.h + 1)
+        for s in combinations(range(1, t.l + 1), pl.t_e)
+        for tag in (None, "en", "cloud")
+    ]
+    for views, want_caches, bits in (
+        (pl.ue_caches, ue_caches, pl.ue_cache_bits),
+        (pl.en_caches, en_caches, pl.en_cache_bits),
+    ):
+        assert sorted(views) == sorted(want_caches)
+        for node, want in want_caches.items():
+            got = views[node]
+            assert got == want and want == got
+            assert len(got) == len(want) == len(list(got))
+            assert set(got) == want
+            probes = universe if len(universe) <= 5000 else want
+            assert [lb in got for lb in probes] == [lb in want for lb in probes]
+            assert bits(node) == sum(8 * len(piece(lb)) for lb in want)
+    for lb in ue_caches[1]:
+        assert pl.piece_payload(lb) == piece(lb)
+    for got, want in ((cloud, cloud_o), (local, local_o)):
+        assert [(m.en, m.subset, m.payload, m.members) for m in got] == want
+
+
+@pytest.mark.parametrize("h,r,t_e,mu_t", ORACLE_POINTS)
+def test_placement_and_multicasts_match_the_label_oracle(h, r, t_e, mu_t):
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(h, r, Fraction(t_e, comb(h - 1, r - 1)), mu_t, seed=t_e)
+    assert_matches_oracle(pl, demand, cloud, local)
+    assert all(v.ok for v in cn.mdsia_decode_check(demand, pl, cloud, local, t))
+
+
+def test_geometry_cache_is_sound_across_libraries_demands_and_shares():
+    # one compiled (H, r, t) serves every run below; each must still match the oracle
+    t = cn.build_topology(5, 2)
+    mu_r = Fraction(2, t.l)
+    identity = list(range(1, t.k + 1))
+    runs = [
+        (1, identity, Fraction(0)),
+        (2, identity, Fraction(0)),  # a new library
+        (2, identity[::-1], Fraction(0)),
+        (2, [3, 3] + identity[2:], Fraction(0)),  # a repeated file
+        (2, identity, Fraction(3, 10)),  # split chunks: other part sizes, same geometry
+    ]
+    mdsia_geometry.cache_clear()
+    geometries = set()
+    for i, (seed, demand, mu_t) in enumerate(runs):
+        lib = cn.random_library(t.k, cn.minimal_file_bits(t, 2, mu_t), seed=seed)
+        before = mdsia_geometry.cache_info()
+        pl = cn.mdsia_place(lib, t, mu_r, mu_t)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cloud = cn.mdsia_fronthaul(demand, pl, t)
+            local = cn.mdsia_local_multicast(demand, pl, t)
+        repeats = len(set(demand)) < len(demand)
+        assert [w.category for w in caught] == [NonDistinctDemand] * (2 if repeats else 0)
+        after = mdsia_geometry.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == ((1, 1) if i == 0 else (0, 2))
+        geometries.add(id(pl.geometry))
+        assert_matches_oracle(pl, demand, cloud, local)
+        verdicts = cn.mdsia_decode_check(demand, pl, cloud, local, t)
+        assert [v.file_id for v in verdicts] == demand and all(v.ok for v in verdicts)
+    assert len(geometries) == 1 and mdsia_geometry.cache_info().currsize == 1
+
+
+def test_placement_memory_holds_no_labels():
+    # the parent's label-per-piece placement peaked at 137 MB here
+    t = cn.build_topology(12, 2)
+    lib = cn.random_library(t.k, cn.minimal_file_bits(t, 4, 0), seed=1)
+    mdsia_geometry.cache_clear()  # the compile counts too
+    tracemalloc.start()
+    try:
+        pl = cn.mdsia_place(lib, t, Fraction(4, t.l), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pl.ue_caches[1]) == 2 * comb(10, 3) * t.k
+    assert peak < 10 * 10**6
 
 
 # ---------------------------------------------------------------------------
