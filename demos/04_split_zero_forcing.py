@@ -20,8 +20,8 @@ def main():
 
     lib = cn.random_library(t.k, f_bits, seed=0)
     pl = cn.zf_place(lib, t, mu_r, mu_t)
-    print(f"placement: t_R = {pl.t_r}, file = {pl.params.w1_bits}-bit prefix "
-          f"(subfiled at UEs) + {pl.params.w2_bits}-bit suffix (cached whole)")
+    print(f"placement: t_R = {pl.t_u}, file = {pl.part_bits['local']}-bit prefix "
+          f"(subfiled at UEs) + {pl.suffix_bits}-bit suffix (cached whole)")
 
     demand = list(range(1, t.k + 1))
     schedule, verdicts = cn.zf_deliver(demand, pl, t, None)
@@ -45,7 +45,7 @@ def main():
     demand2 = list(range(1, t2.k + 1))
     ch = cn.draw_channel(t2, seed=0)
     schedule2, verdicts2 = cn.zf_deliver(demand2, pl2, t2, ch)
-    print(f"channel-backed run at {t2.h} ENs x {t2.k} UEs: t_R = {pl2.t_r}, "
+    print(f"channel-backed run at {t2.h} ENs x {t2.k} UEs: t_R = {pl2.t_u}, "
           f"{len(schedule2)} one-shot steps")
     print(f"recovery under beamforming: {sum(v.ok for v in verdicts2)}/{len(verdicts2)} "
           f"files rebuilt bit-exactly")

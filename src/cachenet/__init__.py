@@ -88,15 +88,7 @@ from .soft_transfer import (
 )
 from .topology import NetworkTopology, build_topology, index
 from .verdict import RecoveryVerdict
-from .zf import (
-    ZfParams,
-    ZfPlacement,
-    minimal_zf_file_bits,
-    zf_deliver,
-    zf_ndt,
-    zf_place,
-    zf_structural_ndt,
-)
+from .zf import minimal_zf_file_bits, zf_deliver, zf_ndt, zf_place, zf_structural_ndt
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -142,9 +142,9 @@ def _soft_listing(placement, schedule) -> list[str]:
 
 
 def _zf_listing(placement, schedule) -> list[str]:
-    params = placement.params
+    prefix = placement.part_bits.get("local", 0)
     return [
-        f"placement: t={placement.t_r}, prefix {params.w1_bits} bits, suffix {params.w2_bits} bits",
+        f"placement: t={placement.t_u}, prefix {prefix} bits, suffix {placement.suffix_bits} bits",
         f"schedule: {len(schedule)} steps (no fronthaul)",
     ]
 

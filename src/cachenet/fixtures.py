@@ -148,10 +148,7 @@ def parse_message_fields(fields: list[str]) -> list[MessageId]:
 def piece_cache_lines(placement: PlacementState) -> Iterator[str]:
     """``UE,k,cache,...``: the coded pieces each UE holds of every file."""
     for ue in range(1, placement.topology.k + 1):
-        labels = sorted(
-            (lb for lb in placement.ue_caches[ue] if lb.file == 1),
-            key=lambda lb: (lb.chunk, lb.subset, lb.part or ""),
-        )
+        labels = sorted(placement.ue_caches[ue].first_file(), key=lambda lb: (lb.chunk, lb.subset, lb.part or ""))
         cells = ",".join(render_piece(lb, generic_file=True) for lb in labels)
         yield f"UE,{ue},cache,{cells}"
 

@@ -242,6 +242,10 @@ class PieceSet(Set):
     def __repr__(self) -> str:
         return f"PieceSet({len(self)} pieces)"
 
+    def first_file(self) -> "PieceSet":
+        """The pieces of file 1 alone, which every file-independent cache table lists."""
+        return PieceSet(self._geometry, 1, self._ranks, self.tags)
+
 
 @dataclass(frozen=True)
 class PlacementState:

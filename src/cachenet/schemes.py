@@ -19,7 +19,7 @@ from .ndt import FRONTHAUL_FREE, NdtValue, argmin_key, as_fraction, memory_share
 from .soft_transfer import minimal_soft_file_bits, soft_ndt, soft_place, soft_schedule, soft_simulate
 from .soft_transfer import soft_structural_ndt
 from .topology import build_topology
-from .zf import minimal_zf_file_bits, zf_ndt, zf_place, zf_simulate, zf_structural_ndt
+from .zf import minimal_zf_file_bits, zf_ndt, zf_place, zf_structural_ndt
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,8 @@ SCHEMES: dict[str, Scheme] = {
             verify=soft_simulate, ndt=soft_ndt, structural_ndt=soft_structural_ndt,
         ),
         Scheme(
-            "zf", "ZF", file_bits=minimal_zf_file_bits, place=zf_place,
-            deliver=lambda demand, pl, t: soft_schedule(demand, pl.view, t),
-            verify=zf_simulate, ndt=zf_ndt, structural_ndt=zf_structural_ndt,
+            "zf", "ZF", file_bits=minimal_zf_file_bits, place=zf_place, deliver=soft_schedule,
+            verify=soft_simulate, ndt=zf_ndt, structural_ndt=zf_structural_ndt,
         ),
     )
 }

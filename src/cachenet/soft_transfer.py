@@ -91,9 +91,6 @@ class DeliveryStep:
     entries: tuple[tuple[int, SoftSubfileLabel], ...]
     pi_prime: tuple[int, ...]
 
-    def labels(self):
-        return [lab for _, lab in self.entries]
-
 
 CASE_ONE_SHOT = "one-shot"
 CASE_CHUNKED = "chunked"
@@ -318,7 +315,11 @@ def delivery_plan(h: int, k: int, t: int, part_bits: tuple[tuple[str, int], ...]
 
 @dataclass(frozen=True)
 class SoftPlacement:
-    """Frozen outcome of the split-and-subfile placement phase."""
+    """Frozen outcome of the split-and-subfile placement phase.
+
+    The parts are subfiled; the bytes of every file past them (``suffix_bits``,
+    the cloud-free scheme's suffix) are cached whole at every UE.
+    """
 
     library: Library
     topology: NetworkTopology
@@ -347,6 +348,10 @@ class SoftPlacement:
         t = self.topology
         return delivery_plan(t.h, t.k, self.t_u, tuple((p, self.part_bits[p]) for p in self.parts))
 
+    @property
+    def suffix_bits(self) -> int:
+        return self.library.file_size_bits - sum(self.part_bits.values())
+
     def chunk_bits(self, part: str) -> int:
         return self.subfile_bits[part] // self.chunk_count
 
@@ -362,7 +367,7 @@ class SoftPlacement:
     def ue_cache_bits(self) -> int:
         holding = comb(self.topology.k - 1, self.t_u - 1) if self.t_u else 0
         per_file = sum(self.subfile_bits[p] * holding for p in self.parts)
-        return self.library.n_files * per_file
+        return self.library.n_files * (per_file + self.suffix_bits)
 
     def en_cache_bits(self) -> int:
         return self.library.n_files * self.part_bits.get(PART_LOCAL, 0)
@@ -409,7 +414,8 @@ def subfile_placement(lib: Library, t: NetworkTopology, t_u: int, mu_r, mu_t, pa
 
     ``part_bits`` maps parts, in file-layout order, to their exact sizes in
     bits; each must split into C(K, t_U) subfiles of ``chunk_count``
-    whole-byte chunks, or ``IndivisibleFileSize`` is raised.
+    whole-byte chunks, or ``IndivisibleFileSize`` is raised. Bits past the
+    parts are the placement's ``suffix_bits``.
     """
     n_subfiles, chunks = comb(t.k, t_u), chunk_count(t.h, t.k, t_u)
     unit = subfile_unit(t.h, t.k, t_u)
@@ -649,7 +655,8 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     ordered pair of entries in a step, the other stream is nulled at the
     receiving UE (residual at most ``ZF_RESIDUAL_TOL``) or cached there.
     Every coefficient depends only on (UE, beam), so ``|H @ beams|`` holds
-    them all. Raises ``InterferenceLeak`` naming the first failing step.
+    them all. Raises ``InterferenceLeak`` for the first failure a scan of the
+    steps, entry by entry, would meet.
     """
     g, schedule = loc.plan.geometry, loc.schedule
     mode = SUM_OF_BASIS if g.case == CASE_ONE_SHOT else SINGLE_NULL
@@ -666,49 +673,46 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     gain = np.abs(ch.matrix @ np.stack([beams[g.pis[p]].vector for p in used.tolist()], axis=1))
     beam = column[loc.pi]
 
-    bad_steps = [loc.step[gain[loc.ue - 1, beam] < DESIRED_COEF_MIN]]
+    # every failure gets its scan-order key: receiving entry, then its desired
+    # floor, each other entry of its step in order, and last the step's excluded set
+    n = len(loc.ue)
+    width = n + 2
+    keys = [np.flatnonzero(gain[loc.ue - 1, beam] < DESIRED_COEF_MIN) * width]
     # ordered pairs (receiving entry i, other entry j) within each step
     sizes = np.bincount(loc.step, minlength=len(schedule))
     starts = np.cumsum(sizes) - sizes
     reps = sizes[loc.step]
-    i = np.repeat(np.arange(len(loc.ue)), reps)
+    i = np.repeat(np.arange(n), reps)
     j = starts[loc.step[i]] + np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
     by, other = loc.ue[i], loc.ue[j]
     i, j, by = i[by != other], j[by != other], by[by != other]
     nulled = g.pi_member[loc.pi[j], by]
     leak = np.where(nulled, gain[by - 1, beam[j]] > ZF_RESIDUAL_TOL, ~g.subset_member[loc.subset[j], by])
-    bad_steps.append(loc.step[i[leak]])
-    bad_steps.append(
-        [s for s, step in enumerate(schedule) if not {ue for ue, _ in step.entries}.isdisjoint(step.pi_prime)]
+    keys.append(i[leak] * width + j[leak] + 1)
+    excluded = np.array(
+        [s for s, step in enumerate(schedule) if not {ue for ue, _ in step.entries}.isdisjoint(step.pi_prime)],
+        dtype=np.int64,
     )
-    bad = np.concatenate([np.asarray(b, dtype=np.int64) for b in bad_steps])
-    if not len(bad):
+    keys.append((starts[excluded] + sizes[excluded] - 1) * width + n + 1)
+    key = np.concatenate(keys)
+    if not len(key):
         return
 
-    # report the first failing step as a per-entry scan would meet it
-    s = int(bad.min())
-    step = schedule[s]
-    span = range(starts[s], starts[s] + sizes[s])
-    for e in span:
-        ue = int(loc.ue[e])
-        own = gain[ue - 1, beam[e]]
-        if own < DESIRED_COEF_MIN:
-            raise InterferenceLeak(f"step {step.index}: UE {ue} desired coefficient {own:.2e}")
-        for o in span:
-            if loc.ue[o] == ue:
-                continue
-            olab = loc.entries[o][1]
-            coef = gain[ue - 1, beam[o]]
-            if g.pi_member[loc.pi[o], ue]:
-                if coef > ZF_RESIDUAL_TOL:
-                    raise InterferenceLeak(f"step {step.index}: residual {coef:.2e} at UE {ue} for {olab}")
-            elif not g.subset_member[loc.subset[o], ue]:
-                raise InterferenceLeak(f"step {step.index}: UE {ue} can neither null nor cancel {olab}")
-    raise InterferenceLeak(f"step {step.index}: a served UE lies in the excluded set {step.pi_prime}")
+    e, o = divmod(int(key.min()), width)
+    step, ue = schedule[loc.step[e]], int(loc.ue[e])
+    if o == 0:
+        raise InterferenceLeak(f"step {step.index}: UE {ue} desired coefficient {gain[ue - 1, beam[e]]:.2e}")
+    if o == n + 1:
+        raise InterferenceLeak(f"step {step.index}: a served UE lies in the excluded set {step.pi_prime}")
+    o -= 1
+    olab = loc.entries[o][1]
+    if g.pi_member[loc.pi[o], ue]:
+        raise InterferenceLeak(f"step {step.index}: residual {gain[ue - 1, beam[o]]:.2e} at UE {ue} for {olab}")
+    raise InterferenceLeak(f"step {step.index}: UE {ue} can neither null nor cancel {olab}")
 
 
 def _deliver(schedule, ch: ChannelMatrix | None, placement: SoftPlacement, demand=None) -> _Located:
-    """What soft_simulate, collect_deliveries and zf_deliver share: locate, cover, beamform.
+    """What soft_simulate and collect_deliveries share: locate, cover, beamform.
 
     ``demand``, when known, only names the requested file in errors.
     """
@@ -720,10 +724,11 @@ def _deliver(schedule, ch: ChannelMatrix | None, placement: SoftPlacement, deman
 
 
 def _assemble(loc: _Located, placement: SoftPlacement, demand) -> np.ndarray:
-    """Every UE's copy of its requested file over the plan's parts, one row per UE.
+    """Every UE's copy of its requested file, one row per UE.
 
     One gather per part: slots default to the UE's own cached copy, and each
-    delivered slot is read from the file its entry names.
+    delivered slot is read from the file its entry names. The whole-cached
+    suffix comes from the UE's own copy.
     """
     plan, lib = loc.plan, placement.library
     k = plan.geometry.k
@@ -737,7 +742,8 @@ def _assemble(loc: _Located, placement: SoftPlacement, demand) -> np.ndarray:
         mine = loc.part == i
         src[loc.ue[mine] - 1, loc.slot[mine]] = (loc.file[mine] - 1) * n_slots + loc.slot[mine]
         pieces.append(region[src].reshape(k, n_slots * chunk))
-    return np.concatenate(pieces, axis=1) if pieces else np.zeros((k, 0), dtype=np.uint8)
+    pieces.append(files[want, files.shape[1] - placement.suffix_bits // 8 :])
+    return np.concatenate(pieces, axis=1)
 
 
 def _mismatch(loc: _Located, ue: int, want: int, expected: bytes, got: np.ndarray) -> ReconstructionMismatch:
@@ -752,12 +758,8 @@ def _mismatch(loc: _Located, ue: int, want: int, expected: bytes, got: np.ndarra
     return ReconstructionMismatch(f"UE {ue} rebuilt file {want} incorrectly: byte {byte} from {source}")
 
 
-def _verify(loc: _Located, placement: SoftPlacement, demand, suffix=None) -> list[RecoveryVerdict]:
-    """Assemble every UE's file and byte-compare it with the library copy.
-
-    ``suffix(file)`` supplies bytes past the plan's parts (the cloud-free
-    scheme's whole-cached suffix). Returns one ok-verdict per UE.
-    """
+def _verify(loc: _Located, placement: SoftPlacement, demand) -> list[RecoveryVerdict]:
+    """Assemble every UE's file and byte-compare it with the library copy; one ok-verdict per UE."""
     lib = placement.library
     demand = validate_demand(demand, placement.topology, lib.n_files, warn_repeats=False)
     blobs = _assemble(loc, placement, demand)
@@ -765,8 +767,7 @@ def _verify(loc: _Located, placement: SoftPlacement, demand, suffix=None) -> lis
     verdicts = []
     for ue in range(1, loc.plan.geometry.k + 1):
         want = demand[ue - 1]
-        blob = blobs[ue - 1].tobytes() + (suffix(want) if suffix else b"")
-        if blob != lib.file(want):
+        if blobs[ue - 1].tobytes() != lib.file(want):
             raise _mismatch(loc, ue, want, lib.file(want), blobs[ue - 1])
         verdicts.append(RecoveryVerdict(ue=ue, file_id=want, ok=True, note=f"{counts[ue]} deliveries"))
     return verdicts

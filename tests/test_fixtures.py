@@ -1,11 +1,13 @@
 """Tests for the plain-text fixture grammar and the golden scenario tables."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import cachenet as cn
 import cachenet.fixtures as fx
-from cachenet import PieceLabel, SoftSubfileLabel
+from cachenet import PieceLabel, SoftSubfileLabel, mdsia
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -98,3 +100,32 @@ def test_write_fixtures_is_deterministic(tmp_path):
     assert [p.name for p in first] == [p.name for p in second] == sorted(fx.all_fixtures())
     for p1, p2 in zip(first, second):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("mu_t", [0, Fraction(3, 10)], ids=["whole", "split"])
+def test_piece_cache_lines_build_file_one_labels_only(monkeypatch, mu_t):
+    # (6, 2, t=2) with 15 files: the table lists file 1 of each UE cache
+    t = cn.build_topology(6, 2)
+    lib = cn.random_library(t.k, cn.minimal_file_bits(t, 2, mu_t), seed=0)
+    pl = cn.mdsia_place(lib, t, Fraction(2, 5), mu_t)
+    expected = [
+        f"UE,{ue},cache,"
+        + ",".join(
+            fx.render_piece(lb, generic_file=True)
+            for lb in sorted(
+                (lb for lb in pl.ue_caches[ue] if lb.file == 1), key=lambda lb: (lb.chunk, lb.subset, lb.part or "")
+            )
+        )
+        for ue in range(1, t.k + 1)
+    ]
+    built = []
+
+    def counting_label(*args):
+        built.append(args)
+        return PieceLabel(*args)
+
+    monkeypatch.setattr(mdsia, "PieceLabel", counting_label)
+    lines = list(fx.piece_cache_lines(pl))
+    assert lines == expected
+    cells = sum(len(fx.split_fields(line)) - 3 for line in lines)
+    assert len(built) == cells == sum(len(pl.ue_caches[ue]) for ue in range(1, t.k + 1)) // lib.n_files

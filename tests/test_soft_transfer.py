@@ -391,6 +391,44 @@ def test_numerics_name_the_first_step_with_a_leak():
         cn.soft_simulate(swapped, cn.draw_channel(t, 3), pl, demand)
 
 
+def swap_entries(schedule, a, b, ue):
+    """A copy of ``schedule`` in which UE ``ue``'s entries of steps a and b trade places."""
+    lab_a, lab_b = dict(schedule[a].entries)[ue], dict(schedule[b].entries)[ue]
+    out = list(schedule)
+    for i, lab in ((a, lab_b), (b, lab_a)):
+        out[i] = replace(out[i], entries=tuple((u, lab if u == ue else x) for u, x in out[i].entries))
+    return out
+
+
+EXCLUDED = r"^step {}: a served UE lies in the excluded set \({},\)$"
+NEITHER = r"^step {}: UE 2 can neither null nor cancel SoftSubfileLabel\(file={}, "
+
+
+@pytest.mark.parametrize(
+    "swap,excluded,message",
+    [
+        (None, (1, 2), EXCLUDED.format(2, 2)),
+        # within one step the pair checks come before the excluded set
+        ((0, 4, 3), (0, 3), NEITHER.format(1, 3)),
+        # across steps the earlier step wins, whichever the kind
+        ((2, 5, 3), (1, 2), EXCLUDED.format(2, 2)),
+        ((1, 5, 4), (2, 3), NEITHER.format(2, 4)),
+    ],
+    ids=["excluded-only", "pair-before-excluded", "excluded-step-first", "pair-step-first"],
+)
+def test_numerics_report_the_first_failure_in_scan_order(swap, excluded, message):
+    # a step's excluded set is checked against its served UEs only; the
+    # label annotations, and so coverage and the bytes, stay as scheduled
+    t, lib, pl, demand, schedule = make_soft(4, 2, Fraction(1, 6), 0)
+    bad = swap_entries(schedule, *swap) if swap else list(schedule)
+    step, ue = excluded
+    assert ue in dict(bad[step].entries) and bad[step].pi_prime != (ue,)
+    bad[step] = replace(bad[step], pi_prime=(ue,))
+    assert all(v.ok for v in cn.soft_simulate(bad, None, pl, demand))
+    with pytest.raises(InterferenceLeak, match=message):
+        cn.soft_simulate(bad, cn.draw_channel(t, 3), pl, demand)
+
+
 # ---------------------------------------------------------------------------
 # the compiled plan is sound across calls
 # ---------------------------------------------------------------------------
@@ -405,12 +443,14 @@ def assert_all_hits(before, after):
         assert a.misses == b.misses and a.hits > b.hits
 
 
-def assert_oracle_bytes(schedule, placement, demand, suffix=lambda n: b""):
+def assert_oracle_bytes(schedule, placement, demand):
+    # the subfiled parts: the whole file, or zf's prefix before its cached suffix
+    prefix_bytes = sum(placement.part_bits.values()) // 8
     got = collect_deliveries(schedule, None, placement)
     for ue in range(1, placement.topology.k + 1):
         want = demand[ue - 1]
         prefix = assemble_by_labels(ue, want, placement, got[ue])
-        assert prefix + suffix(want) == placement.library.file(want)
+        assert prefix == placement.library.file(want)[:prefix_bytes]
 
 
 def test_plan_compiled_under_identity_serves_a_permuted_demand():
@@ -452,21 +492,20 @@ def test_soft_and_zf_share_one_geometry(h, t_u):
     mu_r, mu_t = Fraction(t_u + t.k, 2 * t.k), Fraction(1, 2)
     zf_lib = cn.random_library(t.k, cn.minimal_zf_file_bits(h, 2, mu_r, mu_t), seed=t_u)
     zf = cn.zf_place(zf_lib, t, mu_r, mu_t)
-    assert zf.t_r == t_u and zf.view.case == runs[0].case
+    assert zf.t_u == t_u and zf.case == runs[0].case
 
-    for i, pl in enumerate(runs + [zf.view]):
+    for i, pl in enumerate(runs + [zf]):
         before = delivery_geometry.cache_info()
         schedule = cn.soft_schedule(demand, pl, t)
         after = delivery_geometry.cache_info()
         if i:  # compiled by the first run at the latest
             assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        if pl is zf.view:
+        if pl is zf:
             _, verdicts = cn.zf_deliver(demand, zf, t, None)
-            assert_oracle_bytes(schedule, pl, demand, suffix=zf.w2_payload)
         else:
             verdicts = cn.soft_simulate(schedule, None, pl, demand)
-            assert_oracle_bytes(schedule, pl, demand)
+        assert_oracle_bytes(schedule, pl, demand)
         assert all(v.ok for v in verdicts)
     # the three runs differ in part sizes only: three plans over one geometry
-    plans = [pl.plan for pl in runs + [zf.view]]
+    plans = [pl.plan for pl in runs + [zf]]
     assert len({id(p) for p in plans}) == 3 and all(p.geometry is plans[0].geometry for p in plans)

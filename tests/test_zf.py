@@ -14,6 +14,7 @@ from cachenet.errors import (
     ReconstructionMismatch,
     RegionViolation,
 )
+from cachenet.schemes import SCHEMES
 from cachenet.soft_transfer import collect_deliveries
 
 from oracles import FROZEN
@@ -35,27 +36,40 @@ def make_zf(h, r, mu_r, mu_t, seed=9):
 
 def test_subset_size_values():
     t, lib, pl, demand = make_zf(5, 2, Fraction(13, 20), Fraction(1, 2))
-    assert pl.t_r == FROZEN["zf_t_r_5_2_065_05"]
+    assert pl.t_u == FROZEN["zf_t_r_5_2_065_05"]
     # mu_t = 0 inside the region forces mu_r = 1: everything fits at the UEs
     t2, lib2, pl2, _ = make_zf(5, 2, 1, 0)
-    assert pl2.t_r == t2.k
+    assert pl2.t_u == t2.k
 
 
 def test_cache_budgets_are_exact():
     t, lib, pl, demand = make_zf(5, 2, Fraction(13, 20), Fraction(1, 2))
     f = lib.file_size_bits
     assert f == 28800
-    assert pl.params.w1_bits == pl.params.w2_bits == f // 2
+    assert pl.part_bits["local"] == pl.suffix_bits == f // 2
     assert pl.ue_cache_bits() == FROZEN["zf_ue_cache_files_5_2_065_05"] * f
     assert pl.en_cache_bits() == Fraction(1, 2) * lib.n_files * f
-    # the prefix view is a pure EN-part placement with the derived subset size
-    assert pl.view.t_u == 3 and pl.view.parts == ("local",)
+    # the prefix is a pure EN-part placement with the derived subset size
+    assert pl.t_u == 3 and pl.parts == ("local",)
 
 
 def test_suffix_is_cached_whole():
-    t, lib, pl, demand = make_zf(4, 2, Fraction(2, 3), Fraction(1, 2))
-    for n in (1, 5):
-        assert pl.w2_payload(n) == lib.file(n)[pl.params.w1_bits // 8 :]
+    for mu_r, mu_t in [(Fraction(2, 3), Fraction(1, 2)), (1, 0)]:  # a split file, then all suffix
+        t, lib, pl, demand = make_zf(4, 2, mu_r, mu_t)
+        assert isinstance(pl, cn.SoftPlacement) and (pl.mu_r, pl.mu_t) == (mu_r, mu_t)
+        f = lib.file_size_bits
+        # the subfiled prefix and the whole-cached suffix tile every file
+        assert pl.suffix_bits == f - sum(pl.part_bits.values()) == (1 - mu_t) * f
+        assert pl.ue_cache_bits() == mu_r * lib.n_files * f
+        # each UE rebuilds its suffix from its own copy of the file it requests
+        perm = [(ue + 2) % t.k + 1 for ue in range(t.k)]
+        _, verdicts = cn.zf_deliver(perm, pl, t, None)
+        assert [v.file_id for v in verdicts] == perm and all(v.ok for v in verdicts)
+
+
+def test_zf_runs_on_the_soft_delivery_path():
+    zf = SCHEMES["zf"]
+    assert zf.deliver is cn.soft_schedule and zf.verify is cn.soft_simulate
 
 
 def test_region_and_parameter_errors():
@@ -78,7 +92,7 @@ def test_region_and_parameter_errors():
 
 def test_everything_cached_needs_no_steps():
     t, lib, pl, demand = make_zf(4, 2, 1, Fraction(1, 2))
-    assert pl.t_r == t.k
+    assert pl.t_u == t.k
     schedule, verdicts = cn.zf_deliver(demand, pl, t, None)
     assert schedule == []
     assert all(v.ok for v in verdicts)
@@ -86,9 +100,9 @@ def test_everything_cached_needs_no_steps():
 
 def test_boundary_subset_size_uses_one_shot_steps():
     t, lib, pl, demand = make_zf(4, 2, Fraction(2, 3), Fraction(1, 2))
-    assert pl.t_r == t.k - t.h == 2
+    assert pl.t_u == t.k - t.h == 2
     schedule, verdicts = cn.zf_deliver(demand, pl, t, cn.draw_channel(t, 2))
-    assert len(schedule) == comb(t.k - 1, pl.t_r) == 10
+    assert len(schedule) == comb(t.k - 1, pl.t_u) == 10
     assert all(len(s.entries) == t.k for s in schedule)
     assert all(s.part == "local" for s in schedule)
     assert all(v.ok for v in verdicts)
@@ -98,7 +112,7 @@ def test_chunked_delivery_bit_exact():
     t, lib, pl, demand = make_zf(5, 2, Fraction(13, 20), Fraction(1, 2))
     schedule, verdicts = cn.zf_deliver(demand, pl, t, None)
     assert len(schedule) == cn.chunked_step_count(5, 10, 3)
-    assert all(len(s.entries) == t.h + pl.t_r for s in schedule)
+    assert all(len(s.entries) == t.h + pl.t_u for s in schedule)
     assert all(v.ok for v in verdicts)
 
 
@@ -108,7 +122,7 @@ def test_prefix_delivery_rejects_a_repeated_step():
     ue, lab = schedule[0].entries[0]
     pattern = rf"step 1: UE {ue} .*subset={re.escape(str(lab.subset))}"
     with pytest.raises(ReconstructionMismatch, match=pattern):
-        collect_deliveries(schedule + [schedule[0]], None, pl.view)
+        collect_deliveries(schedule + [schedule[0]], None, pl)
 
 
 @pytest.mark.parametrize("seed", range(3))
