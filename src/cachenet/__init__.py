@@ -13,13 +13,7 @@ and all-scheme comparisons (``schemes``), channel/beamforming numerics
 (``channel``), fixture rendering (``fixtures``), and a CLI (``cachenet``).
 """
 
-from .channel import (
-    ChannelMatrix,
-    beamformers_for,
-    draw_channel,
-    make_beamformer,
-    null_space,
-)
+from .channel import beamformers_for, draw_channel, make_beamformer, null_space
 from .errors import (
     CachenetError,
     DegenerateChannel,
@@ -40,14 +34,10 @@ from .errors import (
     SingularSystem,
     UnsupportedRegime,
 )
-from .mdscode import CodedChunk, Library, mds_decode, mds_encode, random_library
+from .mdscode import mds_decode, mds_encode, random_library
 from .mdsia import (
     AlignmentPlan,
-    AlignmentReport,
-    InterferenceMatrix,
-    MulticastMessage,
     PieceLabel,
-    PlacementState,
     build_interference_matrices,
     certify_alignment,
     mdsia_decode_check,
@@ -59,10 +49,8 @@ from .mdsia import (
     minimal_file_bits,
     plan_alignment,
 )
-from .ndt import NdtValue, SharingDecomposition, as_fraction, memory_share
+from .ndt import NdtValue, as_fraction
 from .schemes import (
-    ComparisonRow,
-    ConvexityReport,
     compare_schemes,
     convexity_check,
     rho_threshold,
@@ -72,11 +60,9 @@ from .schemes import (
     shared_zf_ndt,
 )
 from .soft_transfer import (
-    DeliveryStep,
     SoftPlacement,
     SoftSubfileLabel,
     chunked_step_count,
-    chunked_step_geometry,
     minimal_soft_file_bits,
     soft_fronthaul_bits_per_en,
     soft_missing,
@@ -86,8 +72,7 @@ from .soft_transfer import (
     soft_simulate,
     soft_structural_ndt,
 )
-from .topology import NetworkTopology, build_topology, index
-from .verdict import RecoveryVerdict
+from .topology import build_topology, index
 from .zf import minimal_zf_file_bits, zf_deliver, zf_ndt, zf_place, zf_structural_ndt
 
 __all__ = [name for name in dir() if not name.startswith("_")]

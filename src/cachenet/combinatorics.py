@@ -4,8 +4,8 @@ Every scheme indexes its caches by t-subsets whose size t, the cache level,
 comes from the cache fractions through one of three normalizers: ``"L"``
 (t = mu_r*L, rank subsets at one EN), ``"K"`` (t = mu_r*K, UE subsets) and
 ``"ZF"`` (t = (mu_r + mu_t - 1)*K/mu_t, the cloud-free prefix). This module
-owns that map and its inverse, the lexicographic rank of a subset, the
-chunk count of the under-provisioned regime, the smallest file size
+owns that map and its inverse, the lexicographic rank of subsets given as
+masks, the chunk count of the under-provisioned regime, the smallest file size
 that slices into whole bytes, and the read-only arrays that hold the
 compiled index tables. Cache fractions are exact rationals (ints or
 ``Fraction``); all arithmetic here stays on their integer parts.
@@ -25,19 +25,25 @@ NORMALIZERS = ("L", "K", "ZF")
 _LEVEL_NAMES = {"L": "mu_r*L", "K": "mu_r*K", "ZF": "t_R = (mu_r+mu_t-1)*K/mu_t"}
 
 
-def subset_rank(subset, pool) -> int:
-    """0-based rank of ``subset`` among the lexicographic combinations of ``pool``.
+def lex_ranks(members, pool) -> np.ndarray:
+    """0-based rank of each row of ``members`` among the lexicographic combinations of its ``pool``.
 
-    Both are ascending; elements are ranked by their position in ``pool``
-    (a ``range`` looks positions up in constant time).
+    Both are boolean masks over the elements (last axis) and broadcast
+    against each other; an element's place in the mask is its order, and a
+    row's members must lie in its pool. Rows may differ in pool and size.
     """
-    # lex rank = C(n, size) - 1 - colex rank of the mirrored positions n-1-pos
-    n, size = len(pool), len(subset)
-    rank = comb(n, size) - 1
-    for e in subset:
-        rank -= comb(n - 1 - pool.index(e), size)
-        size -= 1
-    return rank
+    members, pool = np.broadcast_arrays(np.asarray(members, dtype=bool), np.asarray(pool, dtype=bool))
+    small = np.min_scalar_type(members.shape[-1] + 1)
+    # lex rank = C(n, size) - 1 - sum over the members, in order, of
+    # C(n - position, members left counting this one), position 1-based in the pool
+    n, size = pool.sum(axis=-1, dtype=small), members.sum(axis=-1, dtype=small)
+    position = np.cumsum(pool, axis=-1, dtype=small)
+    left = size[..., None] + 1 - np.cumsum(members, axis=-1, dtype=small)
+    top_n, top_size = int(n.max(initial=0)), int(size.max(initial=0))
+    # a zero column past the largest size stands in for every non-member
+    pascal = np.array([[comb(a, b) for b in range(top_size + 1)] + [0] for a in range(top_n + 1)], dtype=np.int64)
+    terms = pascal[n[..., None] - position, np.where(members, left, top_size + 1)]
+    return pascal[n, size] - 1 - terms.sum(axis=-1)
 
 
 def chunk_count(h: int, k: int, t: int) -> int:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import frozen_table, level, smallest_file_bits, subset_rank
+from .combinatorics import frozen_table, lex_ranks, level, smallest_file_bits
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
@@ -110,7 +110,7 @@ class MdsiaGeometry:
 
     Ranks run over 1..L at every EN. ``subsets`` (the pieces of a chunk) and
     ``groups`` (the multicasts of an EN) are the t- and (t+1)-subsets of the
-    ranks in lexicographic order, so a position is a ``subset_rank``.
+    ranks in lexicographic order, so a position is a lexicographic rank.
     Message slot ``(i - 1) * len(groups) + g`` is EN i's multicast to group
     g; its member j is the UE at the group's j-th rank, which caches every
     other member's piece and misses its own, the piece of subset
@@ -164,10 +164,13 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
     ue_rank = rank_at[ues, ue_ens]
 
     members = np.array(groups, dtype=np.int64).reshape(len(groups), t + 1)
-    piece = [[subset_rank(s[:j] + s[j + 1 :], ranks) for j in range(t + 1)] for s in groups]
+    in_group = np.zeros((len(groups), top.l + 1), dtype=bool)
+    np.put_along_axis(in_group, members, True, axis=1)
+    # member j's piece is its group without the member's own rank
+    piece = lex_ranks(in_group[:, None, 1:] & (members[..., None] != np.arange(1, top.l + 1)), True)
     slot_en = np.repeat(np.arange(1, h + 1), len(groups))
     slot_ue = served[slot_en[:, None] - 1, np.tile(members - 1, (h, 1))]
-    slot_piece = np.tile(np.array(piece, dtype=np.int64).reshape(members.shape), (h, 1))
+    slot_piece = np.tile(piece, (h, 1))
     slot_label = np.full(slot_ue.shape + (5,), -1, dtype=np.int64)
     slot_label[..., 0], slot_label[..., 2], slot_label[..., 3] = slot_ue, slot_en[:, None], slot_piece
     return MdsiaGeometry(
@@ -323,7 +326,9 @@ class PlacementState:
 
     def piece_payload(self, label: PieceLabel) -> bytes:
         size = self.piece_bits(label.part) // 8
-        lo = self.part_start(label.part) + subset_rank(label.subset, range(1, self.topology.l + 1)) * size
+        if label.subset not in self.geometry.subset_index:
+            raise OutOfRange(f"no piece has subset {label.subset}: pieces are {self.t_e}-subsets of the ranks")
+        lo = self.part_start(label.part) + self.geometry.subset_index[label.subset] * size
         return self.chunk_payload(label.file, label.chunk)[lo : lo + size]
 
     def ue_cache_bits(self, ue: int) -> int:
@@ -661,14 +666,22 @@ class UeAlignmentChecks:
     desired_rows_separate: bool
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """Names of the checks this UE fails, in certification order."""
+        return tuple(name for name in _UE_CHECKS if not getattr(self, name))
+
+    @property
     def ok(self) -> bool:
-        return (
-            self.groups_shape_ok
-            and self.partition_ok
-            and self.desired_count_ok
-            and self.interference_rows_distinct
-            and self.desired_rows_separate
-        )
+        return not self.failed
+
+
+_UE_CHECKS = (
+    "groups_shape_ok",
+    "partition_ok",
+    "desired_count_ok",
+    "interference_rows_distinct",
+    "desired_rows_separate",
+)
 
 
 @dataclass(frozen=True)
@@ -795,9 +808,10 @@ def mdsia_deliver(demand, placement: PlacementState, t: NetworkTopology) -> Mdsi
     plan = plan_alignment(t, mats)
     report = certify_alignment(plan, t, mats)
     if not report.ok:
-        failed = [check for check in report.per_ue.values() if not check.ok]
+        first = next((check for check in report.per_ue.values() if not check.ok), None)
         partition = "ok" if report.b_partition_ok else "broken"
-        raise InterferenceLeak(f"alignment certification failed, row partition {partition}: {failed}")
+        where = f": UE {first.ue} fails {', '.join(first.failed)}" if first else ""
+        raise InterferenceLeak(f"alignment certification failed, row partition {partition}{where}")
     return MdsiaDelivery(cloud, local, mats, plan)
 
 

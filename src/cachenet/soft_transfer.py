@@ -9,11 +9,12 @@ further chunked so each chunk is nulled at H-1 UEs and scheduled only with
 chunks leaking onto the same excluded set. The cloud part rides the fronthaul
 as quantized transmit symbols, accounted as load only.
 
-Everything but the payload bytes depends only on the geometry (H, K, t_U)
-and the part sizes, so it is compiled once into a cached ``DeliveryPlan`` of
-index tables. Scheduling reads its steps from the plan; delivery looks every
-scheduled entry up in it, checks coverage and numerics on whole arrays, and
-assembles each UE's file with one gather per part.
+Everything but the payload bytes and the part sizes depends only on the
+geometry (H, K, t_U), so it is compiled once into a cached
+``DeliveryGeometry`` of index tables. Scheduling reads its steps from the
+geometry; delivery looks every scheduled entry up in it, checks coverage
+and numerics on whole arrays, and assembles each UE's file with one gather
+per part of the placement's byte layout.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .channel import (
     ChannelMatrix,
     beamformers_for,
 )
-from .combinatorics import chunk_count, frozen_table, level, smallest_file_bits
+from .combinatorics import chunk_count, frozen_table, level, lex_ranks, smallest_file_bits
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
@@ -97,7 +98,7 @@ CASE_CHUNKED = "chunked"
 
 
 # ---------------------------------------------------------------------------
-# the compiled, payload-free delivery plan
+# the compiled, payload-free delivery geometry
 # ---------------------------------------------------------------------------
 
 
@@ -120,7 +121,10 @@ class DeliveryGeometry:
     in lexicographic order, addressed by rank. Pieces are found by the
     integer key ``(pi * len(pi_primes) + pi_prime) * K + dest - 1``: the two
     null sets and the destination pin the subset, which the lookup then
-    checks. Holds no labels and no bytes.
+    checks. Bytes ``[0, C(K, t) * subfile)`` of a part are ``C(K, t) *
+    chunks`` chunk slots, slot ``subset * chunks + chunk``; ``cached[u - 1,
+    slot]`` says UE u holds that slot of every part of every file, and must
+    receive it otherwise. Holds no labels and no bytes.
     """
 
     h: int
@@ -128,7 +132,7 @@ class DeliveryGeometry:
     t: int
     chunks: int
     subsets: tuple[tuple[int, ...], ...]
-    subset_rank: dict = field(repr=False)
+    subset_index: dict = field(repr=False)
     subset_member: np.ndarray = field(repr=False)
     pis: tuple[tuple[int, ...], ...] = field(repr=False)
     pi_index: dict = field(repr=False)
@@ -141,10 +145,15 @@ class DeliveryGeometry:
     piece_chunk: np.ndarray = field(repr=False)
     # the scheduler's steps of one part: (pi_prime, UEs, subsets, null sets)
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple, tuple], ...] = field(repr=False)
+    cached: np.ndarray = field(repr=False)
 
     @property
     def case(self) -> str:
         return CASE_ONE_SHOT if self.t >= self.k - self.h else CASE_CHUNKED
+
+    @property
+    def slots(self) -> int:
+        return self.cached.shape[1]
 
     def piece_keys(self, ue, pi_id, pi_prime_id):
         return (pi_id * len(self.pi_primes) + pi_prime_id) * self.k + ue - 1
@@ -158,7 +167,7 @@ class DeliveryGeometry:
 
     def chunk_rank(self, dest: int, subset, pi, pi_prime) -> int | None:
         """Chunk rank of one piece, or None if the coordinates name no piece."""
-        ids = (self.subset_rank.get(subset), self.pi_index.get(pi), self.pi_prime_index.get(pi_prime))
+        ids = (self.subset_index.get(subset), self.pi_index.get(pi), self.pi_prime_index.get(pi_prime))
         if None in ids or not 1 <= dest <= self.k:
             return None
         at, found = self.find(np.array([self.piece_keys(dest, ids[1], ids[2])]))
@@ -169,143 +178,78 @@ class DeliveryGeometry:
 
 @lru_cache(maxsize=64)
 def delivery_geometry(h: int, k: int, t: int) -> DeliveryGeometry:
-    """Compile the pieces and step grouping of (H, K, t); cached per geometry.
+    """Compile the steps, pieces and cache mask of (H, K, t); cached per geometry.
 
-    The completeness of the grouping (every missing subfile delivered in
-    exactly ``chunk_count`` distinct chunks, each once) and its structural
-    soundness (every bystander of a step either nulls or caches each other
-    entry) are asserted here, once per geometry.
+    Every entry of every step is one piece, so the steps are built first,
+    as UE masks, and the piece lookup is their keys sorted. The completeness
+    of the steps (every chunk a UE does not cache delivered exactly once)
+    and their structural soundness (every bystander of a step either nulls
+    or caches each other entry) are asserted here, once per geometry.
     """
     universe = range(1, k + 1)
     subsets = tuple(combinations(universe, t))
-    subset_rank = {s: r for r, s in enumerate(subsets)}
     one_shot = t >= k - h
     width = k - 1 - t if one_shot else h - 1  # UEs each piece is nulled at
     pis = tuple(combinations(universe, width)) if t < k else ()
-    pi_index = {p: i for i, p in enumerate(pis)}
     pi_primes = ((),) if one_shot else tuple(combinations(universe, k - t - h))
-    pi_prime_index = {p: i for i, p in enumerate(pi_primes)}
     chunks = chunk_count(h, k, t)
-    n_pp = len(pi_primes)
+    subset_member, pi_member, pp_member = (_membership(sets, k) for sets in (subsets, pis, pi_primes))
 
-    def key(ue, pi, pi_prime):
-        return (pi_index[pi] * n_pp + pi_prime_index[pi_prime]) * k + ue - 1
+    # one template over the m UEs a step serves: step s gives the UE at
+    # position j the rank-s t-subset of the other positions; one-shot steps
+    # serve all K UEs, chunked ones the H + t outside each excluded set
+    m = k if one_shot else h + t
+    base = np.array(list(combinations(range(m - 1), t)), dtype=np.int64).reshape(comb(m - 1, t), t)
+    template = base[:, None, :] + (base[:, None, :] >= np.arange(m)[:, None])
+    served = np.nonzero(~pp_member[:, 1:])[1].reshape(len(pi_primes), m)
+    step_pp = np.repeat(np.arange(len(pi_primes)), len(base))
+    step_ue = np.repeat(served, len(base), axis=0) + 1
+    # per entry, UE masks of the subset caching it and of its destination's
+    # other non-caching UEs (the pool); the null set is the pool outside the
+    # excluded set, and the chunk is the null set's rank within the pool
+    caching = np.zeros(step_ue.shape + (k,), dtype=bool)
+    np.put_along_axis(caching, served[:, template].reshape(len(step_ue), m, t), True, axis=-1)
+    pool = ~caching
+    np.put_along_axis(pool, step_ue[..., None] - 1, False, axis=-1)
+    pi = pool & ~pp_member[step_pp, None, 1:]
+    step_subset, step_pi, chunk = lex_ranks(caching, True), lex_ranks(pi, True), lex_ranks(pi, pool)
+    del caching, pool, pi
 
-    # pieces, enumerated destination-major with chunks in lexicographic order
-    keys, piece_subset, piece_chunk = [], [], []
-    for dest in universe:
-        for r, t_set in enumerate(subsets):
-            if dest in t_set:
-                continue
-            pool = [u for u in universe if u != dest and u not in t_set]
-            for c, pi in enumerate(combinations(pool, width)):
-                keys.append(key(dest, pi, tuple(u for u in pool if u not in pi)))
-                piece_subset.append(r)
-                piece_chunk.append(c)
-    fresh = comb(k, t) - (comb(k - 1, t - 1) if t else 0)
-    assert len(keys) == k * fresh * chunks
-    order = np.argsort(keys, kind="stable")
-    piece_key = np.asarray(keys, dtype=np.int64)[order]
-    assert np.all(piece_key[1:] > piece_key[:-1]), "piece keys must be unique"
-
-    # the scheduler's grouping of pieces into steps: (pi_prime, pool, [(UE, subset), ...])
-    grouping = []
-    if one_shot and t < k:
-        per_ue = {ue: [s for s in subsets if ue not in s] for ue in universe}
-        grouping = [((), universe, [(ue, per_ue[ue][s]) for ue in universe]) for s in range(fresh)]
-    elif not one_shot:
-        per_group = comb(h + t - 1, t)
-        for pi_prime in pi_primes:
-            served = [u for u in universe if u not in pi_prime]
-            choices = {ue: list(combinations([u for u in served if u != ue], t)) for ue in served}
-            assert all(len(c) == per_group for c in choices.values())
-            for s in range(per_group):
-                grouping.append((pi_prime, served, [(ue, choices[ue][s]) for ue in served]))
-        assert len(grouping) == chunked_step_count(h, k, t)
-    width_step = k if one_shot else h + t
-
-    def slot(pi_prime, pool, ue, t_set):
-        # nulled at every UE of the pool that neither receives nor caches it
-        pi = tuple(u for u in pool if u != ue and u not in t_set)
-        return pi_prime_index[pi_prime], ue, subset_rank[t_set], pi_index[pi]
-
-    table = np.array(
-        [[slot(pp, pool, ue, t_set) for ue, t_set in slots] for pp, pool, slots in grouping], dtype=np.int64
-    ).reshape(-1, width_step, 4)
-    step_pp, step_ue, step_subset, step_pi = table.transpose(2, 0, 1)
-
+    cached = np.repeat(subset_member[:, 1:].T, chunks, axis=1)
+    key = ((step_pi * len(pi_primes) + step_pp[:, None]) * k + step_ue - 1).ravel()
+    order = np.argsort(key)
     geometry = DeliveryGeometry(
         h=h,
         k=k,
         t=t,
         chunks=chunks,
         subsets=subsets,
-        subset_rank=subset_rank,
-        subset_member=_membership(subsets, k),
+        subset_index={s: r for r, s in enumerate(subsets)},
+        subset_member=subset_member,
         pis=pis,
-        pi_index=pi_index,
-        pi_member=_membership(pis, k),
+        pi_index={p: i for i, p in enumerate(pis)},
+        pi_member=pi_member,
         pi_primes=pi_primes,
-        pi_prime_index=pi_prime_index,
-        piece_key=frozen_table(piece_key),
-        piece_subset=frozen_table(np.asarray(piece_subset, dtype=np.int64)[order]),
-        piece_chunk=frozen_table(np.asarray(piece_chunk, dtype=np.int64)[order]),
+        pi_prime_index={p: i for i, p in enumerate(pi_primes)},
+        piece_key=frozen_table(key[order]),
+        piece_subset=frozen_table(step_subset.ravel()[order]),
+        piece_chunk=frozen_table(chunk.ravel()[order]),
         steps=tuple(
-            (pi_primes[pps[0]], tuple(ues), tuple(subsets[r] for r in srs), tuple(pis[p] for p in prs))
-            for pps, ues, srs, prs in zip(*(a.tolist() for a in (step_pp, step_ue, step_subset, step_pi)))
+            (pi_primes[pp], tuple(ues), tuple(subsets[r] for r in srs), tuple(pis[p] for p in prs))
+            for pp, ues, srs, prs in zip(*(a.tolist() for a in (step_pp, step_ue, step_subset, step_pi)))
         ),
+        cached=frozen_table(cached, bool),
     )
-    if grouping:
-        # completeness: the steps hit every piece exactly once
-        at, found = geometry.find(geometry.piece_keys(step_ue, step_pi, step_pp))
-        assert found.all() and (geometry.piece_subset[at] == step_subset).all()
-        assert (np.bincount(at.ravel(), minlength=len(piece_key)) == 1).all(), "every piece once"
-        # soundness: bystander i of entry j's stream nulls it or caches it
-        by = step_ue[:, :, None]
-        ok = geometry.pi_member[step_pi[:, None, :], by] | geometry.subset_member[step_subset[:, None, :], by]
-        ok |= np.eye(width_step, dtype=bool)
-        assert ok.all(), "a bystander can neither null nor cancel a scheduled stream"
+    assert np.all(geometry.piece_key[1:] > geometry.piece_key[:-1]), "piece keys must be unique"
+    # completeness: the steps hit every chunk slot a UE misses exactly once, and no other
+    slot = (step_ue - 1) * cached.shape[1] + step_subset * chunks + chunk
+    hits = np.bincount(slot.ravel(), minlength=cached.size)
+    assert (hits == ~cached.ravel()).all(), "every missing chunk once"
+    # soundness: bystander i of entry j's stream nulls it or caches it
+    by = step_ue[:, :, None]
+    ok = pi_member[step_pi[:, None, :], by] | subset_member[step_subset[:, None, :], by]
+    assert (ok | np.eye(m, dtype=bool)).all(), "a bystander can neither null nor cancel a scheduled stream"
     return geometry
-
-
-@dataclass(frozen=True)
-class DeliveryPlan:
-    """A compiled geometry plus the byte layout of one set of part sizes.
-
-    Per part (in file-layout order): its first byte, subfile bytes and chunk
-    bytes. Bytes ``[first, first + C(K, t) * subfile)`` of every file are
-    ``C(K, t) * chunks`` chunk slots, slot ``subset_rank * chunks + chunk``;
-    ``cached[u - 1, slot]`` says UE u holds that slot of every part of every
-    file, and must receive it otherwise.
-    """
-
-    geometry: DeliveryGeometry
-    parts: tuple[str, ...]
-    layout: tuple[tuple[int, int, int], ...]
-    cached: np.ndarray = field(repr=False)
-
-    @property
-    def slots(self) -> int:
-        return self.cached.shape[1]
-
-
-@lru_cache(maxsize=128)
-def delivery_plan(h: int, k: int, t: int, part_bits: tuple[tuple[str, int], ...]) -> DeliveryPlan:
-    """The cached plan of geometry (H, K, t) with ``part_bits`` = ((part, bits), ...)."""
-    geometry = delivery_geometry(h, k, t)
-    n_sub, chunks = len(geometry.subsets), geometry.chunks
-    layout, first = [], 0
-    for _, bits in part_bits:
-        sub = bits // 8 // n_sub
-        assert sub * n_sub * 8 == bits and sub % chunks == 0, "parts must split into whole-byte chunks"
-        layout.append((first, sub, sub // chunks))
-        first += bits // 8
-    return DeliveryPlan(
-        geometry=geometry,
-        parts=tuple(p for p, _ in part_bits),
-        layout=tuple(layout),
-        cached=frozen_table(np.repeat(geometry.subset_member[:, 1:].T, chunks, axis=1), bool),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +271,6 @@ class SoftPlacement:
     mu_r: Fraction
     mu_t: Fraction
     part_bits: dict[str, int] = field(compare=False)
-    subfile_bits: dict[str, int] = field(compare=False)
-    chunk_count: int = 1
 
     @property
     def parts(self) -> tuple[str, ...]:
@@ -342,11 +284,28 @@ class SoftPlacement:
     def case(self) -> str:
         return CASE_ONE_SHOT if self.t_u >= self.topology.k - self.topology.h else CASE_CHUNKED
 
+    @property
+    def chunk_count(self) -> int:
+        return chunk_count(self.topology.h, self.topology.k, self.t_u)
+
+    @property
+    def subfile_bits(self) -> dict[str, int]:
+        return {p: bits // self.n_subfiles for p, bits in self.part_bits.items()}
+
     @cached_property
-    def plan(self) -> DeliveryPlan:
-        """The compiled delivery plan of this geometry and these part sizes."""
+    def geometry(self) -> DeliveryGeometry:
+        """The compiled delivery geometry this placement is subfiled over."""
         t = self.topology
-        return delivery_plan(t.h, t.k, self.t_u, tuple((p, self.part_bits[p]) for p in self.parts))
+        return delivery_geometry(t.h, t.k, self.t_u)
+
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int], ...]:
+        """Per part, in file-layout order: its first byte, subfile bytes and chunk bytes."""
+        layout, first = [], 0
+        for p in self.parts:
+            layout.append((first, self.subfile_bits[p] // 8, self.chunk_bits(p) // 8))
+            first += self.part_bits[p] // 8
+        return tuple(layout)
 
     @property
     def suffix_bits(self) -> int:
@@ -374,19 +333,17 @@ class SoftPlacement:
 
     def subfile_payload(self, label: SoftSubfileLabel) -> bytes:
         """The exact bytes of one subfile (annotations ignored)."""
-        plan = self.plan
-        first, size, _ = plan.layout[plan.parts.index(label.part)]
-        lo = first + plan.geometry.subset_rank[label.subset] * size
+        first, size, _ = self.layout[self.parts.index(label.part)]
+        lo = first + self.geometry.subset_index[label.subset] * size
         return self.library.file(label.file)[lo : lo + size]
 
     def chunk_payload(self, label: SoftSubfileLabel) -> bytes:
         """The exact bytes of one chunk of an under-provisioned delivery."""
-        plan = self.plan
         dest = self.chunk_destination(label)
-        rank = plan.geometry.chunk_rank(dest, label.subset, label.pi, label.pi_prime)
+        rank = self.geometry.chunk_rank(dest, label.subset, label.pi, label.pi_prime)
         if rank is None:
             raise ReconstructionMismatch(f"{label} is not a chunk of this delivery geometry")
-        size = plan.layout[plan.parts.index(label.part)][2]
+        size = self.layout[self.parts.index(label.part)][2]
         return self.subfile_payload(label)[rank * size : (rank + 1) * size]
 
     def chunk_destination(self, label: SoftSubfileLabel) -> int:
@@ -433,8 +390,6 @@ def subfile_placement(lib: Library, t: NetworkTopology, t_u: int, mu_r, mu_t, pa
         mu_r=mu_r,
         mu_t=mu_t,
         part_bits={p: int(bits) for p, bits in part_bits.items()},
-        subfile_bits={p: int(bits) // n_subfiles for p, bits in part_bits.items()},
-        chunk_count=chunks,
     )
 
 
@@ -535,20 +490,6 @@ def chunked_step_count(h: int, k: int, t_u: int) -> int:
     return total_chunks // (h + t_u)
 
 
-def chunked_step_geometry(
-    h: int, k: int, t_u: int
-) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...], tuple[int, ...]]]]]:
-    """Chunked-regime grouping as pure combinatorics on (H, K, t_U).
-
-    Returns one ``(pi_prime, [(destination, subset, pi), ...])`` pair per
-    step, sweeping the excluded sets pi_prime lexicographically and, within
-    each, the destinations' admissible subsets by rank. Requires t_U < K - H;
-    needs no concrete topology, only the counts.
-    """
-    assert 0 <= t_u < k - h, "chunked regime needs t_U < K - H"
-    return [(pi_prime, list(zip(*row))) for pi_prime, *row in delivery_geometry(h, k, t_u).steps]
-
-
 # ---------------------------------------------------------------------------
 # delivery: locate every entry, check coverage and numerics, gather
 # ---------------------------------------------------------------------------
@@ -556,15 +497,15 @@ def chunked_step_geometry(
 
 @dataclass(frozen=True)
 class _Located:
-    """Every entry of a schedule resolved against the plan, in schedule order."""
+    """Every entry of a schedule resolved against the geometry, in schedule order."""
 
-    plan: DeliveryPlan
+    placement: SoftPlacement
     schedule: list
     entries: list  # the (ue, label) pairs
     step: np.ndarray  # position of the entry's step in the schedule
     ue: np.ndarray
     file: np.ndarray
-    part: np.ndarray  # index into plan.parts
+    part: np.ndarray  # index into placement.parts
     slot: np.ndarray  # chunk slot within the part
     subset: np.ndarray  # subset rank
     pi: np.ndarray  # null-set id
@@ -583,12 +524,11 @@ def _locate(schedule, placement: SoftPlacement) -> _Located:
     Raises ``ReconstructionMismatch`` for the first entry that names no piece
     its UE misses (wrong UE, subset, null sets, part or file id).
     """
-    plan = placement.plan
-    g = plan.geometry
+    g = placement.geometry
     entries = [e for step in schedule for e in step.entries]
     n = len(entries)
     ues, labs = zip(*entries) if n else ((), ())
-    part_index = {p: i for i, p in enumerate(plan.parts)}
+    part_index = {p: i for i, p in enumerate(placement.parts)}
 
     def column(name, index=None):
         values = map(attrgetter(name), labs)
@@ -597,7 +537,7 @@ def _locate(schedule, placement: SoftPlacement) -> _Located:
         return np.fromiter(values, dtype=np.int64, count=n)
 
     ue = np.array(ues, dtype=np.int64)
-    file, part_id, subset = column("file"), column("part", part_index), column("subset", g.subset_rank)
+    file, part_id, subset = column("file"), column("part", part_index), column("subset", g.subset_index)
     pi_id, pp_id = column("pi", g.pi_index), column("pi_prime", g.pi_prime_index)
     step = np.repeat(np.arange(len(schedule)), [len(s.entries) for s in schedule])
 
@@ -610,10 +550,10 @@ def _locate(schedule, placement: SoftPlacement) -> _Located:
         i = int(np.argmin(ok))
         raise ReconstructionMismatch(
             f"step {schedule[step[i]].index}: UE {ues[i]} <- {labs[i]}: no missing piece of the "
-            f"(H, K, t) = ({g.h}, {g.k}, {g.t}) delivery of parts {plan.parts} has these coordinates"
+            f"(H, K, t) = ({g.h}, {g.k}, {g.t}) delivery of parts {placement.parts} has these coordinates"
         )
     return _Located(
-        plan=plan,
+        placement=placement,
         schedule=schedule,
         entries=entries,
         step=step,
@@ -628,17 +568,17 @@ def _locate(schedule, placement: SoftPlacement) -> _Located:
 
 def _check_coverage(loc: _Located, demand=None) -> None:
     """Cache plus deliveries fill every chunk slot of every UE exactly once."""
-    plan, g = loc.plan, loc.plan.geometry
-    n_slots = plan.slots
-    for i in range(len(plan.parts)):
+    parts, g = loc.placement.parts, loc.placement.geometry
+    n_slots = g.slots
+    for i in range(len(parts)):
         mine = loc.part == i
-        counts = plan.cached.astype(np.int64).ravel()
+        counts = g.cached.astype(np.int64).ravel()
         counts += np.bincount((loc.ue[mine] - 1) * n_slots + loc.slot[mine], minlength=g.k * n_slots)
         if (counts != 1).any():
             flat = int(np.flatnonzero(counts != 1)[0])
             ue, slot = flat // n_slots + 1, flat % n_slots
             subset = g.subsets[slot // g.chunks]
-            what = f"chunk {slot % g.chunks} of the {plan.parts[i]} subfile subset={subset}"
+            what = f"chunk {slot % g.chunks} of the {parts[i]} subfile subset={subset}"
             what += f" of file {demand[ue - 1]}" if demand is not None else ""
             hits = loc.covering(ue, i, slot)
             if not hits:
@@ -658,7 +598,7 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     them all. Raises ``InterferenceLeak`` for the first failure a scan of the
     steps, entry by entry, would meet.
     """
-    g, schedule = loc.plan.geometry, loc.schedule
+    g, schedule = loc.placement.geometry, loc.schedule
     mode = SUM_OF_BASIS if g.case == CASE_ONE_SHOT else SINGLE_NULL
     # one beam per null set, in first-use order, floor-checked only at the
     # UEs scheduled to decode it: bystanders may sit in a structural null
@@ -723,20 +663,19 @@ def _deliver(schedule, ch: ChannelMatrix | None, placement: SoftPlacement, deman
     return loc
 
 
-def _assemble(loc: _Located, placement: SoftPlacement, demand) -> np.ndarray:
+def _assemble(loc: _Located, demand) -> np.ndarray:
     """Every UE's copy of its requested file, one row per UE.
 
     One gather per part: slots default to the UE's own cached copy, and each
     delivered slot is read from the file its entry names. The whole-cached
     suffix comes from the UE's own copy.
     """
-    plan, lib = loc.plan, placement.library
-    k = plan.geometry.k
+    placement = loc.placement
+    lib, k, n_slots = placement.library, placement.geometry.k, placement.geometry.slots
     files = np.frombuffer(b"".join(lib.contents), dtype=np.uint8).reshape(lib.n_files, -1)
     want = np.asarray(demand, dtype=np.int64) - 1
     pieces = []
-    n_slots = plan.slots
-    for i, (first, _, chunk) in enumerate(plan.layout):
+    for i, (first, _, chunk) in enumerate(placement.layout):
         region = files[:, first : first + n_slots * chunk].reshape(-1, chunk)
         src = want[:, None] * n_slots + np.arange(n_slots)
         mine = loc.part == i
@@ -751,21 +690,21 @@ def _mismatch(loc: _Located, ue: int, want: int, expected: bytes, got: np.ndarra
     wrong = np.flatnonzero(got != np.frombuffer(expected[: len(got)], dtype=np.uint8))
     byte = int(wrong[0]) if len(wrong) else len(got)
     source = "its cache"
-    for i, (first, _, chunk) in enumerate(loc.plan.layout):
-        if first <= byte < first + loc.plan.slots * chunk:
+    for i, (first, _, chunk) in enumerate(loc.placement.layout):
+        if first <= byte < first + loc.placement.geometry.slots * chunk:
             hits = loc.covering(ue, i, (byte - first) // chunk)
             source = loc.name(hits[0]) if hits else source
     return ReconstructionMismatch(f"UE {ue} rebuilt file {want} incorrectly: byte {byte} from {source}")
 
 
-def _verify(loc: _Located, placement: SoftPlacement, demand) -> list[RecoveryVerdict]:
+def _verify(loc: _Located, demand) -> list[RecoveryVerdict]:
     """Assemble every UE's file and byte-compare it with the library copy; one ok-verdict per UE."""
-    lib = placement.library
-    demand = validate_demand(demand, placement.topology, lib.n_files, warn_repeats=False)
-    blobs = _assemble(loc, placement, demand)
-    counts = np.bincount(loc.ue, minlength=loc.plan.geometry.k + 1)
+    lib, k = loc.placement.library, loc.placement.topology.k
+    demand = validate_demand(demand, loc.placement.topology, lib.n_files, warn_repeats=False)
+    blobs = _assemble(loc, demand)
+    counts = np.bincount(loc.ue, minlength=k + 1)
     verdicts = []
-    for ue in range(1, loc.plan.geometry.k + 1):
+    for ue in range(1, k + 1):
         want = demand[ue - 1]
         if blobs[ue - 1].tobytes() != lib.file(want):
             raise _mismatch(loc, ue, want, lib.file(want), blobs[ue - 1])
@@ -781,7 +720,7 @@ def soft_simulate(
 ) -> list[RecoveryVerdict]:
     """Drive the schedule and verify decodability and bit-exact recovery.
 
-    Every entry is located in the compiled plan from its own label, and
+    Every entry is located in the compiled geometry from its own label, and
     cache plus deliveries must fill every chunk slot of every UE exactly
     once. With a channel, beamformers are built per distinct null set
     (degenerate draws redrawn deterministically) and every step is checked
@@ -802,7 +741,7 @@ def soft_simulate(
     OutOfRange, DemandLengthMismatch
         The demand names a file outside the library or has the wrong length.
     """
-    return _verify(_deliver(schedule, ch, placement, demand), placement, demand)
+    return _verify(_deliver(schedule, ch, placement, demand), demand)
 
 
 def collect_deliveries(
@@ -812,13 +751,13 @@ def collect_deliveries(
 ) -> dict[int, dict[SoftSubfileLabel, bytes]]:
     """Run every step, returning the exact bytes each UE walks away with.
 
-    Locates every entry in the compiled plan and checks coverage; with a
+    Locates every entry in the compiled geometry and checks coverage; with a
     channel, also builds one beamformer per distinct null set (redrawing
     deterministically on degenerate draws) and applies the per-step numeric
     interference checks. ``ch=None`` skips the numeric layer.
     """
     loc = _deliver(schedule, ch, placement)
-    layout = loc.plan.layout
+    layout = placement.layout
     first = np.array([f for f, _, _ in layout], dtype=np.int64)[loc.part]
     chunk = np.array([c for _, _, c in layout], dtype=np.int64)[loc.part]
     lo = (first + loc.slot * chunk).tolist()

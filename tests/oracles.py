@@ -138,6 +138,62 @@ def assemble_by_labels(ue: int, want: int, placement, delivered: dict) -> bytes:
     return b"".join(pieces)
 
 
+def delivery_by_enumeration(h: int, k: int, t: int) -> dict:
+    """The soft/zf delivery geometry of (H, K, t), piece by piece.
+
+    Enumerates every missing piece destination-major (subsets and chunks in
+    lexicographic order, each chunk one (H-1)-subset pi of the destination's
+    non-caching bystanders, or all of them in one shot) and every scheduler
+    step (per excluded set pi_prime, the rank-s admissible subset of each
+    served UE), ranking subsets and null sets by their position in
+    ``itertools.combinations`` output. Returns ``steps`` as
+    ``(pi_prime, ues, subsets, pis)`` tuples; ``piece_key``,
+    ``piece_subset`` and ``piece_chunk`` sorted by the piece key
+    ``(pi * len(pi_primes) + pi_prime) * K + dest - 1``; and ``cached``,
+    the K x (C(K, t) * chunks) mask of the chunk slots each UE holds. Uses
+    none of the library's rank or geometry code.
+    """
+    universe = range(1, k + 1)
+    subsets = list(combinations(universe, t))
+    one_shot = t >= k - h
+    width = k - 1 - t if one_shot else h - 1
+    pis = list(combinations(universe, width)) if t < k else []
+    pi_primes = [()] if one_shot else list(combinations(universe, k - t - h))
+    pi_id = {p: i for i, p in enumerate(pis)}
+    pp_id = {p: i for i, p in enumerate(pi_primes)}
+    chunks = comb(k - t - 1, h - 1) if not one_shot else 1
+
+    pieces = []
+    for dest in universe:
+        for r, t_set in enumerate(subsets):
+            if dest in t_set:
+                continue
+            pool = [u for u in universe if u != dest and u not in t_set]
+            for c, pi in enumerate(combinations(pool, width)):
+                rest = tuple(u for u in pool if u not in pi)
+                pieces.append(((pi_id[pi] * len(pi_primes) + pp_id[rest]) * k + dest - 1, r, c))
+    pieces.sort()
+
+    steps = []
+    if t < k:
+        for pi_prime in pi_primes:
+            served = [u for u in universe if u not in pi_prime]
+            choices = {ue: list(combinations([u for u in served if u != ue], t)) for ue in served}
+            for s in range(len(choices[served[0]])):
+                t_sets = tuple(choices[ue][s] for ue in served)
+                nulls = tuple(
+                    tuple(u for u in served if u != ue and u not in t_set) for ue, t_set in zip(served, t_sets)
+                )
+                steps.append((pi_prime, tuple(served), t_sets, nulls))
+
+    cached = np.zeros((k, len(subsets) * chunks), dtype=bool)
+    for r, t_set in enumerate(subsets):
+        for ue in t_set:
+            cached[ue - 1, r * chunks : (r + 1) * chunks] = True
+    key, subset, chunk = np.array(pieces, dtype=np.int64).reshape(len(pieces), 3).T
+    return {"steps": tuple(steps), "piece_key": key, "piece_subset": subset, "piece_chunk": chunk, "cached": cached}
+
+
 def mdsia_by_labels(placement, demand):
     """Caches and multicasts of an mdsia placement, written out label by label.
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,8 +14,8 @@ from cachenet.combinatorics import (
     fractional_level,
     level,
     level_mu,
+    lex_ranks,
     smallest_file_bits,
-    subset_rank,
 )
 from cachenet.errors import IndivisibleFileSize
 
@@ -26,14 +27,29 @@ from oracles import lex_rank
 # ---------------------------------------------------------------------------
 
 
-@given(st.sets(st.integers(min_value=1, max_value=30), max_size=10), st.data())
-def test_subset_rank_is_the_lexicographic_position(pool, data):
-    pool = sorted(pool)
-    subset = sorted(data.draw(st.sets(st.sampled_from(pool)))) if pool else []
-    assert subset_rank(subset, pool) == lex_rank(pool, subset)
-    # the same subset as positions in a range pool, as the schemes rank it
-    positions = [pool.index(e) + 1 for e in subset]
-    assert subset_rank(positions, range(1, len(pool) + 1)) == lex_rank(pool, subset)
+def mask(elements, width: int) -> np.ndarray:
+    out = np.zeros(width, dtype=bool)
+    out[list(elements)] = True
+    return out
+
+
+#: a pool of up to 10 elements out of 30, and a subset of it
+pool_and_subset = st.sets(st.integers(min_value=0, max_value=29), max_size=10).flatmap(
+    lambda pool: st.tuples(st.just(sorted(pool)), st.sets(st.sampled_from(sorted(pool))).map(sorted))
+    if pool
+    else st.just(([], []))
+)
+
+
+@given(st.lists(pool_and_subset, min_size=1, max_size=5))
+def test_lex_ranks_is_the_lexicographic_position(rows):
+    # one call ranks rows that differ in pool and in size
+    want = [lex_rank(pool, subset) for pool, subset in rows]
+    members = np.array([mask(subset, 30) for _, subset in rows])
+    assert lex_ranks(members, np.array([mask(pool, 30) for pool, _ in rows])).tolist() == want
+    # the same subsets as positions in a whole pool, as the schemes rank them
+    for (pool, subset), rank in zip(rows, want):
+        assert lex_ranks(mask([pool.index(e) for e in subset], len(pool)), True) == rank
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from math import comb
 import pytest
 
 import cachenet as cn
+from cachenet import mdsia
 from cachenet.errors import (
     DemandLengthMismatch,
     IndivisibleFileSize,
+    InterferenceLeak,
     LengthError,
     NonDistinctDemand,
     NonIntegralCacheParameter,
@@ -92,6 +94,14 @@ def test_split_placement_has_both_parts():
     en = b"".join(pl.piece_payload(cn.PieceLabel(1, 1, s, "en")) for s in ranks)
     cl = b"".join(pl.piece_payload(cn.PieceLabel(1, 1, s, "cloud")) for s in ranks)
     assert en + cl == chunk
+
+
+@pytest.mark.parametrize("subset", [(1, 2), (5,), ()])
+def test_piece_payload_rejects_a_subset_no_piece_has(subset):
+    # t = 1 of L = 4 ranks: a pair, a rank past L and the empty set name no piece
+    t, lib, pl, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    with pytest.raises(OutOfRange, match=rf"no piece has subset {re.escape(str(subset))}"):
+        pl.piece_payload(cn.PieceLabel(1, 1, subset, None))
 
 
 def test_full_en_share_moves_everything_local():
@@ -247,6 +257,23 @@ def test_certification_flags_a_broken_plan():
     report = cn.certify_alignment(broken, t, mats)
     assert not report.ok
     assert not report.b_partition_ok
+
+
+def test_deliver_names_the_first_ue_that_fails_certification(monkeypatch):
+    # a plan missing its first row leaves that row's owners, UE 1 first,
+    # one alignment group short of a partition of their interference
+    t, lib, pl, demand, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    plan_alignment = mdsia.plan_alignment
+
+    def drop_first_row(top, mats):
+        plan = plan_alignment(top, mats)
+        assert plan.rows[0].c[0] == 1
+        return cn.AlignmentPlan(rows=plan.rows[1:])
+
+    monkeypatch.setattr(mdsia, "plan_alignment", drop_first_row)
+    with pytest.raises(InterferenceLeak, match=r"^alignment certification failed, row partition broken: "
+                       r"UE 1 fails partition_ok$"):
+        mdsia.mdsia_deliver(demand, pl, t)
 
 
 # ---------------------------------------------------------------------------

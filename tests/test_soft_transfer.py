@@ -1,14 +1,17 @@
 """Tests for the cloud-assisted zero-forcing scheme with subset placement."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cachenet as cn
+from cachenet import soft_transfer
 from cachenet.errors import (
     IndivisibleFileSize,
     InterferenceLeak,
@@ -22,10 +25,9 @@ from cachenet.soft_transfer import (
     CASE_ONE_SHOT,
     collect_deliveries,
     delivery_geometry,
-    delivery_plan,
 )
 
-from oracles import FROZEN, assemble_by_labels
+from oracles import FROZEN, assemble_by_labels, delivery_by_enumeration
 
 
 def make_soft(h, r, mu_r, mu_t, seed=5):
@@ -163,10 +165,11 @@ def test_chunked_step_count_closed_forms():
 
 
 def test_chunked_geometry_3_6_1():
-    geometry = cn.chunked_step_geometry(3, 6, 1)
-    assert len(geometry) == 45
+    steps = delivery_geometry(3, 6, 1).steps
+    assert len(steps) == 45
     per_subfile = {}
-    for pi_prime, triples in geometry:
+    for pi_prime, *row in steps:
+        triples = list(zip(*row))
         assert len(pi_prime) == 6 - 1 - 3
         assert len(triples) == 3 + 1  # H + t_U chunks per step
         for ue, t_set, pi in triples:
@@ -185,9 +188,8 @@ def test_chunked_geometry_3_6_1():
 @settings(max_examples=20, deadline=None)
 def test_chunked_geometry_invariants(cfg, data):
     h, k, t_u = cfg
-    geometry = cn.chunked_step_geometry(h, k, t_u)
-    step = data.draw(st.sampled_from(geometry))
-    pi_prime, triples = step
+    pi_prime, *row = data.draw(st.sampled_from(delivery_geometry(h, k, t_u).steps))
+    triples = list(zip(*row))
     assert len(triples) == h + t_u
     served = [ue for ue, _, _ in triples]
     assert sorted(served) == sorted(set(range(1, k + 1)) - set(pi_prime))
@@ -391,6 +393,40 @@ def test_numerics_name_the_first_step_with_a_leak():
         cn.soft_simulate(swapped, cn.draw_channel(t, 3), pl, demand)
 
 
+def patch_first_beam(monkeypatch, schedule, change):
+    """Beamform as usual, then apply ``change`` to the beam of step 1's first entry."""
+    first = schedule[0].entries[0][1]
+    real = soft_transfer.beamformers_for
+
+    def patched(*args, **kwargs):
+        beams, ch, attempts = real(*args, **kwargs)
+        beams[first.pi] = replace(beams[first.pi], vector=change(beams[first.pi].vector))
+        return beams, ch, attempts
+
+    monkeypatch.setattr(soft_transfer, "beamformers_for", patched)
+    return first
+
+
+@pytest.mark.parametrize("mu_r", [Fraction(1, 3), Fraction(1, 6)], ids=["one-shot", "chunked"])
+def test_numerics_name_the_ue_below_the_desired_floor(monkeypatch, mu_r):
+    t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
+    patch_first_beam(monkeypatch, schedule, lambda v: v * 1e-9)
+    ue = schedule[0].entries[0][0]
+    with pytest.raises(InterferenceLeak, match=rf"^step 1: UE {ue} desired coefficient \S+$"):
+        cn.soft_simulate(schedule, cn.draw_channel(t, 3), pl, demand)
+
+
+@pytest.mark.parametrize("mu_r", [Fraction(1, 3), Fraction(1, 6)], ids=["one-shot", "chunked"])
+def test_numerics_name_the_ue_a_residual_reaches(monkeypatch, mu_r):
+    # the first UE of the perturbed null set is the first bystander in scan
+    # order that must null step 1's first stream; every earlier one caches it
+    t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
+    first = patch_first_beam(monkeypatch, schedule, lambda v: v + 1e-3)
+    message = rf"^step 1: residual \S+ at UE {min(first.pi)} for {re.escape(repr(first))}$"
+    with pytest.raises(InterferenceLeak, match=message):
+        cn.soft_simulate(schedule, cn.draw_channel(t, 3), pl, demand)
+
+
 def swap_entries(schedule, a, b, ue):
     """A copy of ``schedule`` in which UE ``ue``'s entries of steps a and b trade places."""
     lab_a, lab_b = dict(schedule[a].entries)[ue], dict(schedule[b].entries)[ue]
@@ -430,17 +466,36 @@ def test_numerics_report_the_first_failure_in_scan_order(swap, excluded, message
 
 
 # ---------------------------------------------------------------------------
+# the compiled geometry equals the piece-by-piece enumeration
+# ---------------------------------------------------------------------------
+
+ENUMERATED = [
+    *((3, 6, t) for t in range(4)),
+    *((4, 6, t) for t in range(7)),
+    *((5, 10, t) for t in range(11)),
+    *((4, 4, t) for t in range(5)),
+    (6, 15, 0),
+    (6, 15, 9),
+]
+
+
+@pytest.mark.parametrize("h,k,t", ENUMERATED)
+def test_compiled_geometry_matches_the_enumeration(h, k, t):
+    g = delivery_geometry(h, k, t)
+    want = delivery_by_enumeration(h, k, t)
+    assert g.steps == want["steps"]
+    for name in ("piece_key", "piece_subset", "piece_chunk"):
+        assert np.array_equal(getattr(g, name), want[name]), name
+    assert np.array_equal(g.cached, want["cached"])
+
+
+# ---------------------------------------------------------------------------
 # the compiled plan is sound across calls
 # ---------------------------------------------------------------------------
 
 
-def cache_counts():
-    return delivery_geometry.cache_info(), delivery_plan.cache_info()
-
-
 def assert_all_hits(before, after):
-    for b, a in zip(before, after):
-        assert a.misses == b.misses and a.hits > b.hits
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def assert_oracle_bytes(schedule, placement, demand):
@@ -456,27 +511,27 @@ def assert_oracle_bytes(schedule, placement, demand):
 def test_plan_compiled_under_identity_serves_a_permuted_demand():
     t, lib, pl, demand, schedule = make_soft(5, 2, Fraction(4, 10), 0)
     assert all(v.ok for v in cn.soft_simulate(schedule, None, pl, demand))
-    before = cache_counts()
+    before = delivery_geometry.cache_info()
     lib2 = cn.random_library(t.k, lib.file_size_bits, seed=11)
     pl2 = cn.soft_place(lib2, t, Fraction(4, 10), 0)
     perm = [(ue + 3) % t.k + 1 for ue in range(t.k)]
     schedule2 = cn.soft_schedule(perm, pl2, t)
     verdicts = cn.soft_simulate(schedule2, None, pl2, perm)
     assert [v.file_id for v in verdicts] == perm and all(v.ok for v in verdicts)
-    assert_all_hits(before, cache_counts())
+    assert_all_hits(before, delivery_geometry.cache_info())
     assert_oracle_bytes(schedule2, pl2, perm)
 
 
 @pytest.mark.parametrize("mu_r", [Fraction(3, 6), Fraction(1, 6)], ids=["one-shot", "chunked"])
 def test_plan_serves_a_repeated_file_demand(mu_r):
     t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
-    before = cache_counts()
+    before = delivery_geometry.cache_info()
     repeated = [(ue + 1) // 2 for ue in range(1, t.k + 1)]  # 1, 1, 2, 2, 3, 3
     with pytest.warns(NonDistinctDemand):
         schedule2 = cn.soft_schedule(repeated, pl, t)
     verdicts = cn.soft_simulate(schedule2, None, pl, repeated)
     assert [v.file_id for v in verdicts] == repeated and all(v.ok for v in verdicts)
-    assert_all_hits(before, cache_counts())
+    assert_all_hits(before, delivery_geometry.cache_info())
     assert_oracle_bytes(schedule2, pl, repeated)
 
 
@@ -506,6 +561,7 @@ def test_soft_and_zf_share_one_geometry(h, t_u):
             verdicts = cn.soft_simulate(schedule, None, pl, demand)
         assert_oracle_bytes(schedule, pl, demand)
         assert all(v.ok for v in verdicts)
-    # the three runs differ in part sizes only: three plans over one geometry
-    plans = [pl.plan for pl in runs + [zf]]
-    assert len({id(p) for p in plans}) == 3 and all(p.geometry is plans[0].geometry for p in plans)
+    # the three runs differ in part sizes only: three byte layouts over one geometry
+    placements = runs + [zf]
+    assert len({(pl.parts, pl.layout) for pl in placements}) == 3
+    assert all(pl.geometry is delivery_geometry(h, t.k, t_u) for pl in placements)
