@@ -15,6 +15,7 @@ and all-scheme comparisons (``schemes``), channel/beamforming numerics
 
 from .channel import beamformers_for, draw_channel, make_beamformer, null_space
 from .errors import (
+    AlignmentBreakdown,
     CachenetError,
     DegenerateChannel,
     DemandLengthMismatch,
@@ -25,6 +26,7 @@ from .errors import (
     InterferenceLeak,
     InvalidConnectivity,
     LengthError,
+    NonCanonicalInterference,
     NonDistinctDemand,
     NonIntegralCacheParameter,
     OutOfRange,

@@ -22,6 +22,7 @@ from .errors import (
     InterferenceLeak,
     InvalidConnectivity,
     LengthError,
+    NonCanonicalInterference,
     NonIntegralCacheParameter,
     OutOfRange,
     PeelFailure,
@@ -57,6 +58,7 @@ VERIFY_FAILURES = (
 )
 #: bad or unsupported scenario parameters
 CONFIG_FAILURES = (
+    NonCanonicalInterference,
     NonIntegralCacheParameter,
     RegionViolation,
     UnsupportedRegime,

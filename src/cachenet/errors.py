@@ -50,6 +50,10 @@ class RegionViolation(CachenetError):
     """Cache capacities outside the region a scheme is defined on."""
 
 
+class NonCanonicalInterference(CachenetError):
+    """Messages or interference matrices differ from their geometry's complete, canonical ones."""
+
+
 # ---------------------------------------------------------------------------
 # decoding / verification errors
 # ---------------------------------------------------------------------------
@@ -80,6 +84,10 @@ class DegenerateChannel(CachenetError):
 
 class InterferenceLeak(CachenetError):
     """A receiver observed a non-negligible coefficient on an unwanted stream."""
+
+
+class AlignmentBreakdown(InterferenceLeak):
+    """The greedy alignment sweep could not complete a transmit-direction row."""
 
 
 # ---------------------------------------------------------------------------

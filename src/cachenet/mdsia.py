@@ -21,19 +21,20 @@ fronthaul (shrinking as the EN share grows) and the EN part is multicast
 locally with the same combinatorial structure.
 
 Everything but the payload bytes and the demand depends only on (H, r, t),
-so it is compiled once into a cached ``MdsiaGeometry`` of index tables.
-Placement keeps the coded library as one byte array and answers cache
-membership from the rule; multicasts and the peel-decode gather their
-pieces from that array.
+so it is compiled once into a cached ``MdsiaGeometry`` of index tables,
+and so is the alignment plan. Placement keeps the coded library as one byte
+array and answers cache membership from the rule; multicasts and the
+peel-decode gather their pieces from that array.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
@@ -42,9 +43,11 @@ import numpy as np
 
 from .combinatorics import frozen_table, lex_ranks, level, smallest_file_bits
 from .errors import (
+    AlignmentBreakdown,
     IndivisibleFileSize,
     InterferenceLeak,
     LengthError,
+    NonCanonicalInterference,
     OutOfRange,
     PeelFailure,
     ReconstructionMismatch,
@@ -52,7 +55,7 @@ from .errors import (
 )
 from .mdscode import CodedChunk, Library, mds_decode, mds_encode
 from .ndt import NdtValue, as_fraction
-from .topology import NetworkTopology, build_topology, index, validate_demand
+from .topology import NetworkTopology, build_topology, validate_demand
 from .verdict import RecoveryVerdict
 
 # ---------------------------------------------------------------------------
@@ -139,9 +142,23 @@ class MdsiaGeometry:
     ue_rank: np.ndarray = field(repr=False)
     ue_cached: np.ndarray = field(repr=False)
     # rank_at[UE, EN]: the UE's rank at the EN, 0 if not served there;
-    # contains[rank, subset]: the t-subset holds the rank (row 0 is all False)
+    # contains[rank, subset]: the t-subset holds the rank (row 0 is all False);
+    # in_group[group, rank]: the same for the (t+1)-subsets
     rank_at: np.ndarray = field(repr=False)
     contains: np.ndarray = field(repr=False)
+    in_group: np.ndarray = field(repr=False)
+    # per UE and serving EN q: the slots it hears there as interference (the
+    # groups missing its rank) and the slots it decodes (those holding it)
+    interfering: np.ndarray = field(repr=False)
+    desired: np.ndarray = field(repr=False)
+    slot_of: dict = field(repr=False)
+
+    @cached_property
+    def interference(self) -> Mapping[int, InterferenceMatrix]:
+        """Every UE's interference matrix: the message ids of its ``interfering`` slots."""
+        ids = self.message_ids.__getitem__
+        return MappingProxyType({k: InterferenceMatrix(k, tuple(tuple(map(ids, c)) for c in cols))
+                                 for k, cols in enumerate(self.interfering.tolist(), start=1)})
 
 
 @lru_cache(maxsize=64)
@@ -173,6 +190,11 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
     slot_piece = np.tile(piece, (h, 1))
     slot_label = np.full(slot_ue.shape + (5,), -1, dtype=np.int64)
     slot_label[..., 0], slot_label[..., 2], slot_label[..., 3] = slot_ue, slot_en[:, None], slot_piece
+    # per rank (0-based): the groups missing it, then the groups holding it
+    outside = np.nonzero(~in_group[:, 1:].T)[1].reshape(top.l, -1)
+    inside = np.nonzero(in_group[:, 1:].T)[1].reshape(top.l, -1)
+    en_base = (ue_ens[..., None] - 1) * len(groups)
+    message_ids = tuple((i, s) for i in range(1, h + 1) for s in groups)
     return MdsiaGeometry(
         h=h,
         r=r,
@@ -181,7 +203,7 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
         subsets=subsets,
         subset_index={s: pos for pos, s in enumerate(subsets)},
         groups=groups,
-        message_ids=tuple((i, s) for i in range(1, h + 1) for s in groups),
+        message_ids=message_ids,
         slot_en=frozen_table(slot_en),
         slot_ue=frozen_table(slot_ue),
         slot_piece=frozen_table(slot_piece),
@@ -192,6 +214,10 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
         ue_cached=frozen_table(contains[ue_rank], bool),
         rank_at=frozen_table(rank_at),
         contains=frozen_table(contains, bool),
+        in_group=frozen_table(in_group, bool),
+        interfering=frozen_table(en_base + outside[ue_rank - 1]),
+        desired=frozen_table(en_base + inside[ue_rank - 1]),
+        slot_of={mid: slot for slot, mid in enumerate(message_ids)},
     )
 
 
@@ -481,24 +507,29 @@ class InterferenceMatrix:
         return tuple(zip(*self.columns)) if self.columns and self.columns[0] else ()
 
 
-def build_interference_matrices(
-    t: NetworkTopology, messages: list[MulticastMessage]
-) -> dict[int, InterferenceMatrix]:
-    """Interference matrix for every UE, from a complete message set."""
-    by_en: dict[int, list[tuple[int, ...]]] = {}
-    for msg in messages:
-        by_en.setdefault(msg.en, []).append(msg.subset)
-    for subsets in by_en.values():
-        subsets.sort()
+def build_interference_matrices(t: NetworkTopology,
+                                messages: list[MulticastMessage]) -> dict[int, InterferenceMatrix]:
+    """Interference matrix for every UE, from a complete message set: the
+    geometry's own (``MdsiaGeometry.interference``). Raises
+    ``NonCanonicalInterference`` if the messages are not every multicast of one geometry."""
+    g = mdsia_geometry(t.h, t.r, len(messages[0].subset) - 1 if messages else t.l)
+    if len(messages) != len(g.slot_of) or {m.id for m in messages} != g.slot_of.keys():
+        where = f"(H, r, t) = ({t.h}, {t.r}, {g.t})"
+        raise NonCanonicalInterference(f"{len(messages)} messages are not the {len(g.slot_of)} multicasts of {where}")
+    return dict(g.interference)
 
-    mats = {}
-    for k in range(1, t.k + 1):
-        cols = []
-        for i in t.ens_of_ue(k):
-            rank = index(t, i, k)
-            cols.append(tuple((i, s) for s in by_en.get(i, ()) if rank not in s))
-        mats[k] = InterferenceMatrix(ue=k, columns=tuple(cols))
-    return mats
+
+def _geometry_of(t: NetworkTopology, mats: dict[int, InterferenceMatrix]) -> MdsiaGeometry:
+    # the geometry whose canonical matrices ``mats`` are; t = L stands for
+    # every level at which no UE hears interference, where they are all alike
+    entry = next((m for mat in mats.values() for col in mat.columns for m in col), None)
+    level = t.l if entry is None else len(entry[1]) - 1
+    canon = mdsia_geometry(t.h, t.r, level).interference if 0 <= level <= t.l else {}
+    bad = next((k for k in sorted(canon.keys() | mats.keys()) if mats.get(k) != canon.get(k)), None)
+    if bad is not None or not canon:
+        where = f"(H, r, t) = ({t.h}, {t.r}, {level})"
+        raise NonCanonicalInterference(f"the interference matrix of UE {bad} is not the canonical one of {where}")
+    return mdsia_geometry(t.h, t.r, level)
 
 
 # ---------------------------------------------------------------------------
@@ -540,109 +571,92 @@ class AlignmentPlan:
 def plan_alignment(t: NetworkTopology, mats: dict[int, InterferenceMatrix]) -> AlignmentPlan:
     """Group every multicast message into exactly one transmit-direction row.
 
-    Greedy sweep over UEs in ascending order: take the topmost unconsumed
-    entry of each of the UE's columns as the row seed, then extend the row so
-    that every third-party UE hearing a seed entry also gets its pair: the
-    two seed hearers' lists are paired by ascending rank, and each pair
-    contributes the first unconsumed message common to both UEs' other
-    columns. Emitted rows remove their messages everywhere.
+    The plan depends on the geometry alone, so this checks that ``mats`` are
+    its canonical matrices and returns its cached ``_alignment_plan``.
 
     Supported for connectivity 2 at any cache level, and for any connectivity
-    when at most two ranks per EN are uncached (no extension step needed).
-
-    Raises
-    ------
-    UnsupportedRegime
-        Outside the constructive region above.
+    when at most two ranks per EN are uncached (no extension step needed);
+    raises ``UnsupportedRegime`` outside that region, and
+    ``NonCanonicalInterference`` if ``mats`` are not one geometry's matrices.
     """
-    i_rows = max((m.i_rows for m in mats.values()), default=0)
-    if i_rows == 0:
+    g = _geometry_of(t, mats)
+    if not g.interfering.shape[2]:
         return AlignmentPlan(rows=())
+    if t.r != 2 and g.t < t.l - 2:
+        raise UnsupportedRegime(f"no row construction for connectivity {t.r} below t = L-2")
+    return _alignment_plan(t.h, t.r, g.t)
 
-    some_entry = next(m for mat in mats.values() for col in mat.columns for m in col)
-    s_size = len(some_entry[1])
-    t_e = s_size - 1
-    if t.r != 2 and t_e < t.l - 2:
-        raise UnsupportedRegime(
-            f"no row construction for connectivity {t.r} below t = L-2"
-        )
 
-    hearers: dict[MessageId, list[int]] = {}
-    for k in range(1, t.k + 1):
-        for col in mats[k].columns:
-            for m in col:
-                hearers.setdefault(m, []).append(k)
-    for lst in hearers.values():
-        lst.sort()
+@lru_cache(maxsize=64)
+def _alignment_plan(h: int, r: int, t: int) -> AlignmentPlan:
+    """The alignment plan of (H, r, t) at t <= L-2, compiled over message slots; cached.
 
-    consumed: set[MessageId] = set()
-    rows: list[AlignmentRow] = []
-    ext_count = t.l - s_size - 1
+    Greedy sweep over UEs in ascending order: take the topmost unconsumed
+    slot of each of the UE's interference columns as the row seed, then
+    extend the row so that every third-party UE hearing a seed slot also
+    gets its pair: the two seed slots' other hearers are paired by ascending
+    rank, and each pair contributes the first unconsumed slot both UEs hear
+    at the EN they share (there are none at t = L-2). A row consumes its
+    slots. Its owners are the UEs at which one slot per serving EN of the
+    row is interference.
 
-    for k in range(1, t.k + 1):
+    Raises ``AlignmentBreakdown``, naming the UE, where a row cannot be completed.
+    """
+    g = mdsia_geometry(h, r, t)
+    n_groups, rank_at, ue_ens, in_group = len(g.groups), g.rank_at.tolist(), g.ue_ens.tolist(), g.in_group
+    # per slot: the UEs hearing it, ascending (those at the ranks its group misses)
+    missing = np.nonzero(~in_group[:, 1:])[1].reshape(n_groups, -1)
+    hearers = np.array(build_topology(h, r).en_to_ues)[g.slot_en[:, None] - 1, np.tile(missing, (h, 1))].tolist()
+    consumed, rows = bytearray(len(g.message_ids)), []
+    shared: dict[tuple[int, int], list] = {}  # per UE pair: [the slots both hear at their shared EN, pointer]
+    for k, columns in enumerate(g.interfering.tolist(), start=1):
+        heads = [0] * r
         while True:
-            current = [[m for m in col if m not in consumed] for col in mats[k].columns]
-            if all(not col for col in current):
+            for q, col in enumerate(columns):
+                while heads[q] < len(col) and consumed[col[heads[q]]]:
+                    heads[q] += 1
+            b = [col[p] for col, p in zip(columns, heads) if p < len(col)]
+            if not b:
                 break
-            assert all(col for col in current), (
-                f"columns of UE {k} consumed unevenly; grouping broke down"
-            )
-            b: list[MessageId] = [col[0] for col in current]
+            if len(b) < r:
+                raise AlignmentBreakdown(f"columns of UE {k} consumed unevenly; grouping broke down")
+            for m in b:
+                consumed[m] = 1
+            for u1, u2 in zip(*([u for u in hearers[e] if u != k] for e in b[:2])):
+                pair = shared.get((u1, u2))
+                if pair is None:  # u1's other EN, which u2 shares
+                    (j,) = set(ue_ens[u1 - 1]) - {b[0] // n_groups + 1}
+                    both = ~(in_group[:, rank_at[u1][j]] | in_group[:, rank_at[u2][j]])
+                    pair = shared[(u1, u2)] = [(np.flatnonzero(both) + (j - 1) * n_groups).tolist(), 0]
+                common = pair[0]
+                while pair[1] < len(common) and consumed[common[pair[1]]]:
+                    pair[1] += 1
+                if pair[1] == len(common):
+                    raise AlignmentBreakdown(f"no shared extension entry for UEs {u1},{u2} in a row of UE {k}")
+                consumed[common[pair[1]]] = 1
+                b.append(common[pair[1]])
+            rows.append(b)
 
-            if ext_count > 0:
-                e1, e2 = b[0], b[1]
-                j1 = [u for u in hearers[e1] if u != k]
-                j2 = [u for u in hearers[e2] if u != k]
-                assert len(j1) == len(j2) == ext_count
-                for u1, u2 in zip(j1, j2):
-                    cand1 = _other_column_entries(t, mats, u1, e1, consumed, b)
-                    cand2 = set(_other_column_entries(t, mats, u2, e2, consumed, b))
-                    match = next((m for m in cand1 if m in cand2), None)
-                    assert match is not None, (
-                        f"no shared extension entry for UEs {u1},{u2}"
-                    )
-                    b.append(match)
-
-            owners = _row_owners(t, b)
-            a = tuple(
-                (c, en) for c in owners for en in t.ens_of_ue(c)
-            )
-            rows.append(AlignmentRow(g=len(rows) + 1, b=tuple(b), c=owners, a=a))
-            consumed.update(b)
-
-    return AlignmentPlan(rows=tuple(rows))
-
-
-def _other_column_entries(
-    t: NetworkTopology,
-    mats: dict[int, InterferenceMatrix],
-    ue: int,
-    heard: MessageId,
-    consumed: set[MessageId],
-    taken: list[MessageId],
-) -> list[MessageId]:
-    # the ue's interference column for the EN it does NOT hear `heard` through
-    ens = t.ens_of_ue(ue)
-    assert len(ens) == 2, "extension step only defined for connectivity 2"
-    other_q = 1 if ens[0] == heard[0] else 0
-    col = mats[ue].columns[other_q]
-    return [m for m in col if m not in consumed and m not in taken]
-
-
-def _row_owners(t: NetworkTopology, b: list[MessageId]) -> tuple[int, ...]:
-    owners = []
-    for combo in combinations(b, t.r):
-        ens = tuple(sorted(m[0] for m in combo))
-        if len(set(ens)) != t.r:
-            continue
-        ue = t.ue_of_en_subset(ens)
-        if ue is None:
-            continue
-        if all(index(t, en, ue) not in s for en, s in combo):
-            owners.append(ue)
-    owners.sort()
-    assert len(owners) == len(set(owners)), "duplicate owner for one row"
-    return tuple(owners)
+    # owners: per row and r-subset of its slots on r distinct ENs, the UE on
+    # those ENs, if each of the slots misses its rank there
+    slots = np.array(rows, dtype=np.int64)
+    combos = np.array(list(combinations(range(slots.shape[1]), r)))
+    ens = g.slot_en[slots][:, combos]  # (rows, combos, r)
+    on = np.zeros(ens.shape[:2] + (h + 1,), dtype=bool)
+    np.put_along_axis(on, ens, True, axis=2)
+    distinct = on.sum(axis=2) == r
+    ue = np.where(distinct, lex_ranks(on[..., 1:], True) + 1, 0)
+    owner = distinct & ~in_group[(slots % n_groups)[:, combos], g.rank_at[ue[..., None], ens]].any(axis=2)
+    owners = np.sort(np.where(owner, ue, 0), axis=1)
+    twice = np.argwhere((owners[:, 1:] == owners[:, :-1]) & (owners[:, 1:] > 0))
+    if len(twice):
+        raise AlignmentBreakdown(f"duplicate owner UE {owners[tuple(twice[0])]} for row {twice[0][0] + 1}")
+    ids, coefficients = g.message_ids, [()] + [tuple((u, en) for en in serving) for u, serving in enumerate(ue_ens, 1)]
+    plan = []
+    for n, (b, c) in enumerate(zip(rows, owners.tolist()), start=1):
+        c = tuple(filter(None, c))
+        plan.append(AlignmentRow(n, tuple(map(ids.__getitem__, b)), c, tuple(chain(*map(coefficients.__getitem__, c)))))
+    return AlignmentPlan(rows=tuple(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +689,8 @@ class UeAlignmentChecks:
         return not self.failed
 
 
-_UE_CHECKS = (
-    "groups_shape_ok",
-    "partition_ok",
-    "desired_count_ok",
-    "interference_rows_distinct",
-    "desired_rows_separate",
-)
+_UE_CHECKS = ("groups_shape_ok", "partition_ok", "desired_count_ok", "interference_rows_distinct",
+              "desired_rows_separate")
 
 
 @dataclass(frozen=True)
@@ -696,9 +705,7 @@ class AlignmentReport:
         return self.b_partition_ok and all(c.ok for c in self.per_ue.values())
 
 
-def certify_alignment(
-    plan: AlignmentPlan, t: NetworkTopology, mats: dict[int, InterferenceMatrix]
-) -> AlignmentReport:
+def certify_alignment(plan: AlignmentPlan, t: NetworkTopology, mats: dict[int, InterferenceMatrix]) -> AlignmentReport:
     """Check the plan's structural delivery guarantees for every UE.
 
     Per UE: (a) every row owning it aligns exactly one message per serving
@@ -707,84 +714,67 @@ def certify_alignment(
     in are distinct, and every desired message sits in a row different from
     every interfering row heard through the same EN. Globally: rows
     partition the message universe. Failures are recorded in the report,
-    never raised.
+    never raised. The plan is read afresh on every call, as a (row x
+    message slot) incidence; ``mats`` must be one geometry's matrices
+    (``NonCanonicalInterference`` otherwise).
     """
-    i_rows = max((m.i_rows for m in mats.values()), default=0)
-    t_e = None
-    for m in mats.values():
-        for col in m.columns:
-            if col:
-                t_e = len(col[0][1]) - 1
-                break
-        if t_e is not None:
-            break
+    g = _geometry_of(t, mats)
+    (n_ues, r, i_rows), n_slots, n_rows = g.interfering.shape, len(g.slot_of), max(len(plan.rows), 1)
+    desired = r * g.desired.shape[2]
+    if not plan.rows:  # no row owns or sends anything: the geometry's sizes decide every check
+        checks = (True, not i_rows, 0, i_rows, desired, desired, True, True, not desired)
+        return AlignmentReport({k: UeAlignmentChecks(k, *checks) for k in range(1, n_ues + 1)}, not n_slots)
+    index = defaultdict(lambda: len(index), g.slot_of)  # an id the geometry lacks: an index past every slot
+    e_slot = np.array([index[m] for row in plan.rows for m in row.b], dtype=np.int64)
+    b_len = np.array([len(row.b) for row in plan.rows], dtype=np.int64)
+    row_g = np.array([row.g for row in plan.rows], dtype=np.int64)
+    g_id = np.searchsorted(_distinct(row_g), row_g)  # the rows' g values, renumbered from 0
+    c_len = [len(row.c) for row in plan.rows]
+    owners = np.fromiter(chain.from_iterable(row.c for row in plan.rows), dtype=np.int64, count=sum(c_len))
+    keys = np.repeat(np.arange(len(c_len)), c_len) * (n_ues + 1) + owners
+    o_row, o_ue = np.divmod(_distinct(keys[(owners >= 1) & (owners <= n_ues)]), n_ues + 1)
 
-    row_of = plan.row_of_message()
-    all_ids = {m for mat in mats.values() for col in mat.columns for m in col}
-    b_entries = [m for row in plan.rows for m in row.b]
-    b_partition_ok = len(b_entries) == len(set(b_entries)) and set(b_entries) == all_ids
+    # every (owned row, UE) pair against each entry of its row: the entries
+    # that are interference at the UE (hits), and in which of its columns
+    count = b_len[o_row]
+    pair = np.repeat(np.arange(len(o_row)), count)
+    entry = np.arange(count.sum()) + np.repeat(np.cumsum(b_len)[o_row] - b_len[o_row] - np.cumsum(count) + count, count)
+    slot, ue = e_slot[entry], o_ue[pair]
+    known = np.flatnonzero(slot < n_slots)
+    en = g.slot_en[slot[known]]
+    rank = g.rank_at[ue[known], en]
+    hears = (rank > 0) & ~g.in_group[slot[known] % len(g.groups), rank]
+    hit, en = known[hears], en[hears]
+    q = np.argmax(g.ue_ens[ue[hit] - 1] == en[:, None], axis=1)
+    per_column = np.bincount(pair[hit] * r + q, minlength=len(o_row) * r).reshape(-1, r)
+    def per_ue(values):  # the count of each UE 1..K
+        return np.bincount(values, minlength=n_ues + 1)[1:]
+    groups, hits = per_ue(o_ue), per_ue(ue[hit])
+    shape_ok = per_ue(o_ue[(per_column != 1).any(axis=1)]) == 0
+    partition_ok = per_ue(_distinct(ue[hit] * n_slots + slot[hit]) // n_slots) == hits
+    partition_ok &= (hits == r * i_rows) & (groups == i_rows)
+    distinct = per_ue(_distinct(o_ue * n_rows + g_id[o_row]) // n_rows) == groups
 
-    per_ue = {}
-    for k in range(1, t.k + 1):
-        mat = mats[k]
-        col_sets = [set(c) for c in mat.columns]
-        entries = set().union(*col_sets) if col_sets else set()
+    # the row of each slot (the last one holding it wins, as in a dict), at
+    # every UE's interference and desired slots per serving EN
+    last = {s: row for s, row in zip(e_slot.tolist(), np.repeat(g_id, b_len).tolist()) if s < n_slots}
+    row_of = np.full(n_slots, -1)
+    row_of[list(last)] = list(last.values())
+    column = np.arange(n_ues * r).reshape(n_ues, r, 1)
+    interfering_rows = np.zeros((n_ues * r, n_rows + 1), dtype=bool)
+    interfering_rows[column, row_of[g.interfering] + 1] = True
+    wanted = row_of[g.desired]
+    separate = ~((wanted < 0) | interfering_rows[column, wanted + 1]).reshape(n_ues, -1).any(axis=1)
 
-        groups = []
-        shape_ok = True
-        my_rows = []
-        for row in plan.rows:
-            if k not in row.c:
-                continue
-            my_rows.append(row.g)
-            group = [m for m in row.b if any(m in cs for cs in col_sets)]
-            per_col = [sum(1 for m in group if m in cs) for cs in col_sets]
-            if len(group) != t.r or any(c != 1 for c in per_col):
-                shape_ok = False
-            groups.append(group)
-
-        flat = [m for g in groups for m in g]
-        partition_ok = (
-            len(flat) == len(set(flat))
-            and set(flat) == entries
-            and len(groups) == i_rows
-        )
-
-        desired = _desired_ids(t, k, t_e) if t_e is not None else []
-        expected_desired = t.r * comb(t.l - 1, t_e) if t_e is not None else 0
-        desired_rows_separate = True
-        if t_e is not None:
-            for q, i in enumerate(t.ens_of_ue(k)):
-                col_rows = {row_of[m] for m in mat.columns[q] if m in row_of}
-                for m in desired:
-                    if m[0] != i:
-                        continue
-                    if m not in row_of or row_of[m] in col_rows:
-                        desired_rows_separate = False
-
-        per_ue[k] = UeAlignmentChecks(
-            ue=k,
-            groups_shape_ok=shape_ok,
-            partition_ok=partition_ok,
-            group_count=len(groups),
-            expected_groups=i_rows,
-            desired_count=len(desired),
-            expected_desired=expected_desired,
-            desired_count_ok=len(desired) == expected_desired,
-            interference_rows_distinct=len(my_rows) == len(set(my_rows)),
-            desired_rows_separate=desired_rows_separate,
-        )
-    return AlignmentReport(per_ue=per_ue, b_partition_ok=b_partition_ok)
+    checks = zip(*(v.tolist() for v in (shape_ok, partition_ok, groups, distinct, separate)))  # in field order
+    by_ue = {k: UeAlignmentChecks(k, *c[:3], i_rows, desired, desired, True, *c[3:]) for k, c in enumerate(checks, 1)}
+    return AlignmentReport(by_ue, len(e_slot) == n_slots == len(_distinct(e_slot)) and bool((e_slot < n_slots).all()))
 
 
-def _desired_ids(t: NetworkTopology, k: int, t_e: int) -> list[MessageId]:
-    out = []
-    for i in t.ens_of_ue(k):
-        rank = index(t, i, k)
-        for s in combinations(range(1, t.l + 1), t_e + 1):
-            if rank in s:
-                out.append((i, s))
-    return out
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    # the distinct keys, ascending: a sort, which here beats numpy's hashing unique
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])[: len(keys)]]
 
 
 class MdsiaDelivery(NamedTuple):
@@ -813,8 +803,6 @@ def mdsia_deliver(demand, placement: PlacementState, t: NetworkTopology) -> Mdsi
         where = f": UE {first.ue} fails {', '.join(first.failed)}" if first else ""
         raise InterferenceLeak(f"alignment certification failed, row partition {partition}{where}")
     return MdsiaDelivery(cloud, local, mats, plan)
-
-
 
 
 # ---------------------------------------------------------------------------

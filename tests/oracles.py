@@ -13,7 +13,16 @@ from math import comb
 import numpy as np
 
 import cachenet as cn
-from cachenet.errors import RegionViolation
+from cachenet.errors import RegionViolation, UnsupportedRegime
+from cachenet.mdsia import (
+    AlignmentPlan,
+    AlignmentReport,
+    AlignmentRow,
+    InterferenceMatrix,
+    MessageId,
+    UeAlignmentChecks,
+)
+from cachenet.topology import NetworkTopology, index
 
 REDUCING_POLY = 0x11D
 
@@ -255,6 +264,210 @@ def mdsia_by_labels(placement, demand):
                     payload = bytes(a ^ b for a, b in zip(payload, piece(label)))
                 messages[path].append((i, s, payload, members))
     return ue_caches, en_caches, messages["cloud"], messages["local"], piece
+
+
+# ---------------------------------------------------------------------------
+# the mdsia alignment plan and certifier as first written: a greedy sweep and a
+# per-row scan over Python sets of (en, subset) message ids
+# ---------------------------------------------------------------------------
+
+
+def plan_alignment(t: NetworkTopology, mats: dict[int, InterferenceMatrix]) -> AlignmentPlan:
+    """Group every multicast message into exactly one transmit-direction row.
+
+    Greedy sweep over UEs in ascending order: take the topmost unconsumed
+    entry of each of the UE's columns as the row seed, then extend the row so
+    that every third-party UE hearing a seed entry also gets its pair: the
+    two seed hearers' lists are paired by ascending rank, and each pair
+    contributes the first unconsumed message common to both UEs' other
+    columns. Emitted rows remove their messages everywhere.
+
+    Supported for connectivity 2 at any cache level, and for any connectivity
+    when at most two ranks per EN are uncached (no extension step needed).
+
+    Raises
+    ------
+    UnsupportedRegime
+        Outside the constructive region above.
+    """
+    i_rows = max((m.i_rows for m in mats.values()), default=0)
+    if i_rows == 0:
+        return AlignmentPlan(rows=())
+
+    some_entry = next(m for mat in mats.values() for col in mat.columns for m in col)
+    s_size = len(some_entry[1])
+    t_e = s_size - 1
+    if t.r != 2 and t_e < t.l - 2:
+        raise UnsupportedRegime(
+            f"no row construction for connectivity {t.r} below t = L-2"
+        )
+
+    hearers: dict[MessageId, list[int]] = {}
+    for k in range(1, t.k + 1):
+        for col in mats[k].columns:
+            for m in col:
+                hearers.setdefault(m, []).append(k)
+    for lst in hearers.values():
+        lst.sort()
+
+    consumed: set[MessageId] = set()
+    rows: list[AlignmentRow] = []
+    ext_count = t.l - s_size - 1
+
+    for k in range(1, t.k + 1):
+        while True:
+            current = [[m for m in col if m not in consumed] for col in mats[k].columns]
+            if all(not col for col in current):
+                break
+            assert all(col for col in current), (
+                f"columns of UE {k} consumed unevenly; grouping broke down"
+            )
+            b: list[MessageId] = [col[0] for col in current]
+
+            if ext_count > 0:
+                e1, e2 = b[0], b[1]
+                j1 = [u for u in hearers[e1] if u != k]
+                j2 = [u for u in hearers[e2] if u != k]
+                assert len(j1) == len(j2) == ext_count
+                for u1, u2 in zip(j1, j2):
+                    cand1 = _other_column_entries(t, mats, u1, e1, consumed, b)
+                    cand2 = set(_other_column_entries(t, mats, u2, e2, consumed, b))
+                    match = next((m for m in cand1 if m in cand2), None)
+                    assert match is not None, (
+                        f"no shared extension entry for UEs {u1},{u2}"
+                    )
+                    b.append(match)
+
+            owners = _row_owners(t, b)
+            a = tuple(
+                (c, en) for c in owners for en in t.ens_of_ue(c)
+            )
+            rows.append(AlignmentRow(g=len(rows) + 1, b=tuple(b), c=owners, a=a))
+            consumed.update(b)
+
+    return AlignmentPlan(rows=tuple(rows))
+
+
+def _other_column_entries(
+    t: NetworkTopology,
+    mats: dict[int, InterferenceMatrix],
+    ue: int,
+    heard: MessageId,
+    consumed: set[MessageId],
+    taken: list[MessageId],
+) -> list[MessageId]:
+    # the ue's interference column for the EN it does NOT hear `heard` through
+    ens = t.ens_of_ue(ue)
+    assert len(ens) == 2, "extension step only defined for connectivity 2"
+    other_q = 1 if ens[0] == heard[0] else 0
+    col = mats[ue].columns[other_q]
+    return [m for m in col if m not in consumed and m not in taken]
+
+
+def _row_owners(t: NetworkTopology, b: list[MessageId]) -> tuple[int, ...]:
+    owners = []
+    for combo in combinations(b, t.r):
+        ens = tuple(sorted(m[0] for m in combo))
+        if len(set(ens)) != t.r:
+            continue
+        ue = t.ue_of_en_subset(ens)
+        if ue is None:
+            continue
+        if all(index(t, en, ue) not in s for en, s in combo):
+            owners.append(ue)
+    owners.sort()
+    assert len(owners) == len(set(owners)), "duplicate owner for one row"
+    return tuple(owners)
+
+def certify_alignment(
+    plan: AlignmentPlan, t: NetworkTopology, mats: dict[int, InterferenceMatrix]
+) -> AlignmentReport:
+    """Check the plan's structural delivery guarantees for every UE.
+
+    Per UE: (a) every row owning it aligns exactly one message per serving
+    EN; (b) those groups partition all of its interference entries; (c) its
+    desired-message count matches r * C(L-1, t); (d) the rows it is aligned
+    in are distinct, and every desired message sits in a row different from
+    every interfering row heard through the same EN. Globally: rows
+    partition the message universe. Failures are recorded in the report,
+    never raised.
+    """
+    i_rows = max((m.i_rows for m in mats.values()), default=0)
+    t_e = None
+    for m in mats.values():
+        for col in m.columns:
+            if col:
+                t_e = len(col[0][1]) - 1
+                break
+        if t_e is not None:
+            break
+
+    row_of = plan.row_of_message()
+    all_ids = {m for mat in mats.values() for col in mat.columns for m in col}
+    b_entries = [m for row in plan.rows for m in row.b]
+    b_partition_ok = len(b_entries) == len(set(b_entries)) and set(b_entries) == all_ids
+
+    per_ue = {}
+    for k in range(1, t.k + 1):
+        mat = mats[k]
+        col_sets = [set(c) for c in mat.columns]
+        entries = set().union(*col_sets) if col_sets else set()
+
+        groups = []
+        shape_ok = True
+        my_rows = []
+        for row in plan.rows:
+            if k not in row.c:
+                continue
+            my_rows.append(row.g)
+            group = [m for m in row.b if any(m in cs for cs in col_sets)]
+            per_col = [sum(1 for m in group if m in cs) for cs in col_sets]
+            if len(group) != t.r or any(c != 1 for c in per_col):
+                shape_ok = False
+            groups.append(group)
+
+        flat = [m for g in groups for m in g]
+        partition_ok = (
+            len(flat) == len(set(flat))
+            and set(flat) == entries
+            and len(groups) == i_rows
+        )
+
+        desired = _desired_ids(t, k, t_e) if t_e is not None else []
+        expected_desired = t.r * comb(t.l - 1, t_e) if t_e is not None else 0
+        desired_rows_separate = True
+        if t_e is not None:
+            for q, i in enumerate(t.ens_of_ue(k)):
+                col_rows = {row_of[m] for m in mat.columns[q] if m in row_of}
+                for m in desired:
+                    if m[0] != i:
+                        continue
+                    if m not in row_of or row_of[m] in col_rows:
+                        desired_rows_separate = False
+
+        per_ue[k] = UeAlignmentChecks(
+            ue=k,
+            groups_shape_ok=shape_ok,
+            partition_ok=partition_ok,
+            group_count=len(groups),
+            expected_groups=i_rows,
+            desired_count=len(desired),
+            expected_desired=expected_desired,
+            desired_count_ok=len(desired) == expected_desired,
+            interference_rows_distinct=len(my_rows) == len(set(my_rows)),
+            desired_rows_separate=desired_rows_separate,
+        )
+    return AlignmentReport(per_ue=per_ue, b_partition_ok=b_partition_ok)
+
+
+def _desired_ids(t: NetworkTopology, k: int, t_e: int) -> list[MessageId]:
+    out = []
+    for i in t.ens_of_ue(k):
+        rank = index(t, i, k)
+        for s in combinations(range(1, t.l + 1), t_e + 1):
+            if rank in s:
+                out.append((i, s))
+    return out
 
 
 #: hand-evaluated expected values, frozen before the implementation ran

@@ -17,6 +17,7 @@ from cachenet.errors import (
     IndivisibleFileSize,
     InterferenceLeak,
     LengthError,
+    NonCanonicalInterference,
     NonDistinctDemand,
     NonIntegralCacheParameter,
     OutOfRange,
@@ -26,6 +27,7 @@ from cachenet.errors import (
 )
 
 from cachenet.mdsia import mdsia_geometry
+import oracles
 from oracles import FROZEN, mdsia_by_labels
 
 
@@ -274,6 +276,83 @@ def test_deliver_names_the_first_ue_that_fails_certification(monkeypatch):
     with pytest.raises(InterferenceLeak, match=r"^alignment certification failed, row partition broken: "
                        r"UE 1 fails partition_ok$"):
         mdsia.mdsia_deliver(demand, pl, t)
+
+
+#: every mdsia point of the criterion-5 lattice and the criterion-10 grid,
+#: plus the three large ones the benchmark runs, as (H, r, t, mu_t, path)
+ALIGNMENT_POINTS = sorted(
+    {(h, r, t_e, 0, "cloud") for h, r in ((3, 2), (4, 2), (5, 2), (4, 3)) for t_e in range(comb(h - 1, r - 1) + 1)
+     if r == 2 or t_e >= comb(h - 1, r - 1) - 2}
+    | {(h, 2, t_e, 0, "cloud") for h in (3, 4, 5, 6) for t_e in range(h)}
+    | {(4, 3, 1, 0, "cloud"), (10, 2, 3, Fraction(1, 4), "local"), (12, 2, 4, 0, "cloud"), (7, 3, 13, 0, "cloud")}
+)
+
+
+@pytest.mark.parametrize("h,r,t_e,mu_t,path", ALIGNMENT_POINTS)
+def test_plan_and_report_match_the_greedy_oracle(h, r, t_e, mu_t, path):
+    t, lib, pl, demand, cloud, local, mats, plan = make_pipeline(h, r, Fraction(t_e, comb(h - 1, r - 1)), mu_t)
+    if path == "local":
+        assert local
+        mats = cn.build_interference_matrices(t, local)
+        plan = cn.plan_alignment(t, mats)
+    expected = oracles.plan_alignment(t, mats)
+    fields = [(row.g, row.b, row.c, row.a) for row in plan.rows]
+    assert fields == [(row.g, row.b, row.c, row.a) for row in expected.rows]
+    report, oracle_report = cn.certify_alignment(plan, t, mats), oracles.certify_alignment(expected, t, mats)
+    assert report.b_partition_ok == oracle_report.b_partition_ok
+    assert report.per_ue == oracle_report.per_ue
+    assert report.ok
+
+
+def _tampered(name, plan, t):
+    rows = list(plan.rows)
+    if name == "duplicated":  # the first row's first message also rides the second row
+        rows[1] = dataclasses.replace(rows[1], b=rows[1].b + rows[0].b[:1])
+    elif name == "desired in an interfering row":
+        # a message UE 1 decodes moves into a row that aligns UE 1's interference at the same EN
+        row_of = plan.row_of_message()
+        wanted = (1, (1, 2))
+        home = row_of[wanted] - 1
+        target = next(i for i, row in enumerate(rows) if 1 in row.c and any(m[0] == 1 for m in row.b))
+        rows[home] = dataclasses.replace(rows[home], b=tuple(m for m in rows[home].b if m != wanted))
+        rows[target] = dataclasses.replace(rows[target], b=rows[target].b + (wanted,))
+    elif name == "substituted":
+        # UE 1's second row carries its first row's EN-1 message in place of its own: every
+        # count still holds, but UE 1's groups repeat one message and miss another
+        first, second = [i for i, row in enumerate(rows) if 1 in row.c][:2]
+        theirs = next(m for m in rows[first].b if m[0] == 1)
+        rows[second] = dataclasses.replace(rows[second], b=tuple(theirs if m[0] == 1 else m for m in rows[second].b))
+    else:  # a message of an EN the network does not have
+        rows[0] = dataclasses.replace(rows[0], b=rows[0].b + ((t.h + 1, (1, 2)),))
+    return cn.AlignmentPlan(rows=tuple(rows))
+
+
+@pytest.mark.parametrize("name", ["duplicated", "desired in an interfering row", "substituted", "foreign message"])
+def test_certification_flags_a_tampered_plan_as_the_oracle_does(name):
+    t, lib, pl, demand, cloud, local, mats, plan = make_pipeline(5, 2, Fraction(1, 4), 0)
+    tampered = _tampered(name, plan, t)
+    report, expected = cn.certify_alignment(tampered, t, mats), oracles.certify_alignment(tampered, t, mats)
+    assert not report.ok and not expected.ok
+    assert report.b_partition_ok == expected.b_partition_ok
+    assert {k: c.failed for k, c in report.per_ue.items()} == {k: c.failed for k, c in expected.per_ue.items()}
+    assert report.per_ue == expected.per_ue
+    if name == "desired in an interfering row":
+        assert report.per_ue[1].failed == ("desired_rows_separate",)
+    if name == "substituted":
+        assert "partition_ok" in report.per_ue[1].failed and report.per_ue[1].groups_shape_ok
+
+
+def test_alignment_refuses_matrices_that_are_not_the_geometrys():
+    t, lib, pl, demand, cloud, local, mats, plan = make_pipeline(5, 2, Fraction(1, 4), 0)
+    # the plan is one cached object per geometry, whichever message set built the matrices
+    assert cn.plan_alignment(t, cn.build_interference_matrices(t, cloud)) is plan
+    reordered = dict(mats)
+    reordered[3] = dataclasses.replace(mats[3], columns=tuple(col[::-1] for col in mats[3].columns))
+    for call in (lambda: cn.plan_alignment(t, reordered), lambda: cn.certify_alignment(plan, t, reordered)):
+        with pytest.raises(NonCanonicalInterference, match=r"interference matrix of UE 3 is not the canonical one"):
+            call()
+    with pytest.raises(NonCanonicalInterference, match=r"^29 messages are not the 30 multicasts of \(H, r, t\)"):
+        cn.build_interference_matrices(t, cloud[1:])
 
 
 # ---------------------------------------------------------------------------

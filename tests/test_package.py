@@ -7,10 +7,10 @@ import cachenet as cn
 #: the public API; the perfbench workloads and demos use only these names
 EXPORTED = {
     # errors
-    "CachenetError", "DegenerateChannel", "DemandLengthMismatch", "DuplicateChunk", "EmptyNullSpace",
-    "FieldOverflow", "IndivisibleFileSize", "InterferenceLeak", "InvalidConnectivity", "LengthError",
-    "NonDistinctDemand", "NonIntegralCacheParameter", "OutOfRange", "PeelFailure", "ReconstructionMismatch",
-    "RegionViolation", "SingularSystem", "UnsupportedRegime",
+    "AlignmentBreakdown", "CachenetError", "DegenerateChannel", "DemandLengthMismatch", "DuplicateChunk",
+    "EmptyNullSpace", "FieldOverflow", "IndivisibleFileSize", "InterferenceLeak", "InvalidConnectivity",
+    "LengthError", "NonCanonicalInterference", "NonDistinctDemand", "NonIntegralCacheParameter", "OutOfRange",
+    "PeelFailure", "ReconstructionMismatch", "RegionViolation", "SingularSystem", "UnsupportedRegime",
     # topology, channel, erasure code
     "build_topology", "index", "beamformers_for", "draw_channel", "make_beamformer", "null_space",
     "mds_decode", "mds_encode", "random_library",
