@@ -11,14 +11,18 @@ as quantized transmit symbols, accounted as load only.
 
 Everything but the payload bytes and the part sizes depends only on the
 geometry (H, K, t_U), so it is compiled once into a cached
-``DeliveryGeometry`` of index tables. Scheduling reads its steps from the
-geometry; delivery looks every scheduled entry up in it, checks coverage
-and numerics on whole arrays, and assembles each UE's file with one gather
-per part of the placement's byte layout.
+``DeliveryGeometry`` of index tables, its steps included as arrays. A
+``Schedule`` over those steps builds its steps and labels on its first
+read; delivery never reads them, but gathers its columns from the step
+arrays, checks coverage and numerics on whole arrays, and assembles each
+UE's file with one gather per part of the placement's byte layout. Any
+other list of steps is read from its labels, then takes the same path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -83,7 +87,8 @@ class DeliveryStep:
 
     ``entries`` pairs each served UE with the label it decodes, sorted by UE.
     All entries of an under-provisioned step share ``pi_prime``; fully
-    provisioned steps use ``pi_prime = ()``.
+    provisioned steps use ``pi_prime = ()``. A ``Schedule`` builds its steps
+    on its first read; delivery and the structural NDT do not read them.
     """
 
     index: int
@@ -143,8 +148,12 @@ class DeliveryGeometry:
     piece_key: np.ndarray = field(repr=False)
     piece_subset: np.ndarray = field(repr=False)
     piece_chunk: np.ndarray = field(repr=False)
-    # the scheduler's steps of one part: (pi_prime, UEs, subsets, null sets)
-    steps: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple, tuple], ...] = field(repr=False)
+    # the scheduler's steps of one part: per step its excluded-set id, and
+    # per (step, position) the UE served, its subset rank and its null-set id
+    step_pp: np.ndarray = field(repr=False)
+    step_ue: np.ndarray = field(repr=False)
+    step_subset: np.ndarray = field(repr=False)
+    step_pi: np.ndarray = field(repr=False)
     cached: np.ndarray = field(repr=False)
 
     @property
@@ -164,16 +173,6 @@ class DeliveryGeometry:
             return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
         at = np.minimum(np.searchsorted(self.piece_key, keys), len(self.piece_key) - 1)
         return at, self.piece_key[at] == keys
-
-    def chunk_rank(self, dest: int, subset, pi, pi_prime) -> int | None:
-        """Chunk rank of one piece, or None if the coordinates name no piece."""
-        ids = (self.subset_index.get(subset), self.pi_index.get(pi), self.pi_prime_index.get(pi_prime))
-        if None in ids or not 1 <= dest <= self.k:
-            return None
-        at, found = self.find(np.array([self.piece_keys(dest, ids[1], ids[2])]))
-        if not found[0] or self.piece_subset[at[0]] != ids[0]:
-            return None
-        return int(self.piece_chunk[at[0]])
 
 
 @lru_cache(maxsize=64)
@@ -234,10 +233,10 @@ def delivery_geometry(h: int, k: int, t: int) -> DeliveryGeometry:
         piece_key=frozen_table(key[order]),
         piece_subset=frozen_table(step_subset.ravel()[order]),
         piece_chunk=frozen_table(chunk.ravel()[order]),
-        steps=tuple(
-            (pi_primes[pp], tuple(ues), tuple(subsets[r] for r in srs), tuple(pis[p] for p in prs))
-            for pp, ues, srs, prs in zip(*(a.tolist() for a in (step_pp, step_ue, step_subset, step_pi)))
-        ),
+        step_pp=frozen_table(step_pp),
+        step_ue=frozen_table(step_ue),
+        step_subset=frozen_table(step_subset),
+        step_pi=frozen_table(step_pi),
         cached=frozen_table(cached, bool),
     )
     assert np.all(geometry.piece_key[1:] > geometry.piece_key[:-1]), "piece keys must be unique"
@@ -272,7 +271,7 @@ class SoftPlacement:
     mu_t: Fraction
     part_bits: dict[str, int] = field(compare=False)
 
-    @property
+    @cached_property
     def parts(self) -> tuple[str, ...]:
         return tuple(p for p in PART_ORDER if self.part_bits.get(p, 0))
 
@@ -333,21 +332,23 @@ class SoftPlacement:
 
     def subfile_payload(self, label: SoftSubfileLabel) -> bytes:
         """The exact bytes of one subfile (annotations ignored)."""
+        rank, n_files = self.geometry.subset_index.get(label.subset), self.library.n_files
+        if rank is None or label.part not in self.parts or not 1 <= label.file <= n_files:
+            raise OutOfRange(f"{label} names no subfile: files 1..{n_files}, parts {self.parts}, {self.t_u}-subsets")
         first, size, _ = self.layout[self.parts.index(label.part)]
-        lo = first + self.geometry.subset_index[label.subset] * size
-        return self.library.file(label.file)[lo : lo + size]
+        return self.library.file(label.file)[first + rank * size : first + (rank + 1) * size]
 
     def chunk_payload(self, label: SoftSubfileLabel) -> bytes:
-        """The exact bytes of one chunk of an under-provisioned delivery."""
-        dest = self.chunk_destination(label)
-        rank = self.geometry.chunk_rank(dest, label.subset, label.pi, label.pi_prime)
-        if rank is None:
-            raise ReconstructionMismatch(f"{label} is not a chunk of this delivery geometry")
-        size = self.layout[self.parts.index(label.part)][2]
-        return self.subfile_payload(label)[rank * size : (rank + 1) * size]
+        """The exact bytes of one chunk of an under-provisioned delivery, located as a one-entry step."""
+        step = DeliveryStep(0, self.case, label.part, ((self.chunk_destination(label), label),), label.pi_prime)
+        subfile, size = self.subfile_payload(label), self.layout[self.parts.index(label.part)][2]
+        rank = int(_locate([step], self).slot[0]) % self.chunk_count
+        return subfile[rank * size : (rank + 1) * size]
 
     def chunk_destination(self, label: SoftSubfileLabel) -> int:
         """The single UE not covered by subset, pi, or pi_prime."""
+        if label.pi is None or label.pi_prime is None:
+            raise ReconstructionMismatch(f"{label} has no null sets: it names a subfile, not a chunk")
         rest = set(range(1, self.topology.k + 1)) - set(label.subset) - set(label.pi) - set(label.pi_prime)
         if len(rest) != 1:
             raise ReconstructionMismatch(f"{label}: chunk coordinates must pin a unique destination")
@@ -448,7 +449,49 @@ def soft_missing(demand, placement: SoftPlacement) -> dict[int, tuple[SoftSubfil
 # ---------------------------------------------------------------------------
 
 
-def soft_schedule(demand, placement: SoftPlacement, t: NetworkTopology) -> list[DeliveryStep]:
+class Schedule(Sequence):
+    """The steps of one delivery: the geometry's steps, once per part, in layout order.
+
+    Step ``p * S + s + 1`` sends part ``parts[p]`` along step s of the
+    geometry's S, each entry labelled with the file its UE demands. Read-only,
+    built in full on its first read and then kept; delivery and the structural
+    NDT read the geometry's step arrays instead. Equal to the list of its
+    steps; ``+`` gives a list.
+    """
+
+    def __init__(self, geometry: DeliveryGeometry, parts, demand):
+        self.geometry, self.parts, self.demand = geometry, tuple(parts), tuple(demand)
+
+    def __len__(self) -> int:
+        return len(self.parts) * len(self.geometry.step_pp)
+
+    def __getitem__(self, i):
+        return self._steps[i]
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    @cached_property
+    def _steps(self) -> list[DeliveryStep]:
+        g, files, steps = self.geometry, self.demand, []
+        rows = list(zip(*(a.tolist() for a in (g.step_pp, g.step_ue, g.step_subset, g.step_pi))))
+        for part in self.parts:
+            for pp, ues, rs, qs in rows:
+                pi_prime = g.pi_primes[pp]
+                labels = [
+                    SoftSubfileLabel(files[u - 1], g.subsets[r], part, g.pis[q], pi_prime) for u, r, q in zip(ues, rs, qs)
+                ]
+                steps.append(DeliveryStep(len(steps) + 1, g.case, part, tuple(zip(ues, labels)), pi_prime))
+        return steps
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __add__(self, other):
+        return list(self) + other
+
+
+def soft_schedule(demand, placement: SoftPlacement, t: NetworkTopology) -> Schedule:
     """Order the missing subfiles into simultaneous beamformed steps.
 
     One-shot regime (t_U >= K - H): every UE's missing subsets are ranked
@@ -458,24 +501,13 @@ def soft_schedule(demand, placement: SoftPlacement, t: NetworkTopology) -> list[
     bystanders; a step bundles, for one excluded set pi_prime, the rank-s
     admissible subset of every UE outside pi_prime.
 
-    The steps come from the compiled geometry, whose step counts and
-    completeness are asserted when it is compiled.
+    Returns a lazy ``Schedule`` over the compiled geometry, whose step
+    counts and completeness are asserted when it is compiled; its steps and
+    labels are built, all at once, only when the schedule is first read.
     """
     assert t.k == placement.topology.k and t.h == placement.topology.h
     validate_demand(demand, t, placement.library.n_files)
-    g = delivery_geometry(t.h, t.k, placement.t_u)
-    steps: list[DeliveryStep] = []
-    case = g.case
-    for part in placement.parts:
-        for pi_prime, ues, t_sets, pis in g.steps:
-            entries = tuple(
-                [
-                    (ue, SoftSubfileLabel(demand[ue - 1], t_set, part, pi, pi_prime))
-                    for ue, t_set, pi in zip(ues, t_sets, pis)
-                ]
-            )
-            steps.append(DeliveryStep(len(steps) + 1, case, part, entries, pi_prime))
-    return steps
+    return Schedule(delivery_geometry(t.h, t.k, placement.t_u), placement.parts, demand)
 
 
 def chunked_step_count(h: int, k: int, t_u: int) -> int:
@@ -495,13 +527,18 @@ def chunked_step_count(h: int, k: int, t_u: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _entry(schedule, step: np.ndarray, i: int):
+    """The step behind column entry ``i``, and its (ue, label) pair."""
+    s = schedule[step[i]]
+    return s, s.entries[i - int(np.searchsorted(step, step[i]))]
+
+
 @dataclass(frozen=True)
 class _Located:
     """Every entry of a schedule resolved against the geometry, in schedule order."""
 
     placement: SoftPlacement
-    schedule: list
-    entries: list  # the (ue, label) pairs
+    schedule: Sequence
     step: np.ndarray  # position of the entry's step in the schedule
     ue: np.ndarray
     file: np.ndarray
@@ -509,26 +546,37 @@ class _Located:
     slot: np.ndarray  # chunk slot within the part
     subset: np.ndarray  # subset rank
     pi: np.ndarray  # null-set id
+    excluded: np.ndarray  # the UE lies in its step's excluded set
 
     def name(self, i: int) -> str:
-        ue, lab = self.entries[i]
-        return f"step {self.schedule[self.step[i]].index}: UE {ue} <- {lab}"
+        s, (ue, lab) = _entry(self.schedule, self.step, i)
+        return f"step {s.index}: UE {ue} <- {lab}"
 
     def covering(self, ue: int, part: int, slot: int) -> list[int]:
         return np.flatnonzero((self.ue == ue) & (self.part == part) & (self.slot == slot)).tolist()
 
 
-def _locate(schedule, placement: SoftPlacement) -> _Located:
-    """Map every scheduled entry to its chunk slot, from the entry's own label.
-
-    Raises ``ReconstructionMismatch`` for the first entry that names no piece
-    its UE misses (wrong UE, subset, null sets, part or file id).
+def _columns(schedule, placement: SoftPlacement) -> tuple[np.ndarray, ...]:
+    """Per entry, in schedule order: step position, UE, file, part, subset, null
+    set and excluded set (ids into the placement's parts and geometry, -1 for
+    none), and whether the UE lies in its step's excluded set. A ``Schedule``
+    over the placement's geometry gives them by gather from its step arrays
+    and demand, its parts matched by name; any other list of steps, from its labels.
     """
     g = placement.geometry
+    part_index = {p: i for i, p in enumerate(placement.parts)}
+    if isinstance(schedule, Schedule) and schedule.geometry is g:
+        copies, per_step = len(schedule.parts), g.step_ue.shape[1]
+        ue, subset, pi = (np.tile(a.ravel(), copies) for a in (g.step_ue, g.step_subset, g.step_pi))
+        pp = np.tile(np.repeat(g.step_pp, per_step), copies)
+        part = np.repeat(np.array([part_index.get(p, -1) for p in schedule.parts], dtype=np.int64), g.step_ue.size)
+        file = np.array(schedule.demand, dtype=np.int64)[ue - 1]
+        step = np.repeat(np.arange(len(schedule)), per_step)
+        return step, ue, file, part, subset, pi, pp, np.zeros(len(ue), dtype=bool)  # served UEs lie outside pp
+
     entries = [e for step in schedule for e in step.entries]
     n = len(entries)
     ues, labs = zip(*entries) if n else ((), ())
-    part_index = {p: i for i, p in enumerate(placement.parts)}
 
     def column(name, index=None):
         values = map(attrgetter(name), labs)
@@ -536,34 +584,34 @@ def _locate(schedule, placement: SoftPlacement) -> _Located:
             values = map(index.get, values, repeat(-1))
         return np.fromiter(values, dtype=np.int64, count=n)
 
-    ue = np.array(ues, dtype=np.int64)
-    file, part_id, subset = column("file"), column("part", part_index), column("subset", g.subset_index)
-    pi_id, pp_id = column("pi", g.pi_index), column("pi_prime", g.pi_prime_index)
     step = np.repeat(np.arange(len(schedule)), [len(s.entries) for s in schedule])
+    excluded = np.fromiter((ue in s.pi_prime for s in schedule for ue, _ in s.entries), dtype=bool, count=n)
+    file, part, subset = column("file"), column("part", part_index), column("subset", g.subset_index)
+    pi, pp = column("pi", g.pi_index), column("pi_prime", g.pi_prime_index)
+    return step, np.array(ues, dtype=np.int64), file, part, subset, pi, pp, excluded
 
+
+def _locate(schedule, placement: SoftPlacement) -> _Located:
+    """Map every scheduled entry to its chunk slot, from the columns of ``_columns``.
+
+    Raises ``ReconstructionMismatch`` for the first entry that names no piece
+    its UE misses (wrong UE, subset, null sets, part or file id).
+    """
+    g = placement.geometry
+    step, ue, file, part, subset, pi, pp, excluded = _columns(schedule, placement)
     ok = (ue >= 1) & (ue <= g.k) & (file >= 1) & (file <= placement.library.n_files)
-    ok &= (part_id >= 0) & (subset >= 0) & (pi_id >= 0) & (pp_id >= 0)
-    at, found = g.find(np.where(ok, g.piece_keys(ue, pi_id, pp_id), -1))
+    ok &= (part >= 0) & (subset >= 0) & (pi >= 0) & (pp >= 0)
+    at, found = g.find(np.where(ok, g.piece_keys(ue, pi, pp), -1))
     ok &= found
     ok[ok] = g.piece_subset[at[ok]] == subset[ok]
     if not ok.all():
-        i = int(np.argmin(ok))
+        s, (u, lab) = _entry(schedule, step, int(np.argmin(ok)))
         raise ReconstructionMismatch(
-            f"step {schedule[step[i]].index}: UE {ues[i]} <- {labs[i]}: no missing piece of the "
+            f"step {s.index}: UE {u} <- {lab}: no missing piece of the "
             f"(H, K, t) = ({g.h}, {g.k}, {g.t}) delivery of parts {placement.parts} has these coordinates"
         )
-    return _Located(
-        placement=placement,
-        schedule=schedule,
-        entries=entries,
-        step=step,
-        ue=ue,
-        file=file,
-        part=part_id,
-        slot=subset * g.chunks + g.piece_chunk[at],
-        subset=subset,
-        pi=pi_id,
-    )
+    slot = subset * g.chunks + g.piece_chunk[at]
+    return _Located(placement, schedule, step, ue, file, part, slot, subset, pi, excluded)
 
 
 def _check_coverage(loc: _Located, demand=None) -> None:
@@ -629,11 +677,7 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     nulled = g.pi_member[loc.pi[j], by]
     leak = np.where(nulled, gain[by - 1, beam[j]] > ZF_RESIDUAL_TOL, ~g.subset_member[loc.subset[j], by])
     keys.append(i[leak] * width + j[leak] + 1)
-    excluded = np.array(
-        [s for s, step in enumerate(schedule) if not {ue for ue, _ in step.entries}.isdisjoint(step.pi_prime)],
-        dtype=np.int64,
-    )
-    keys.append((starts[excluded] + sizes[excluded] - 1) * width + n + 1)
+    keys.append((starts + sizes - 1)[loc.step[loc.excluded]] * width + n + 1)
     key = np.concatenate(keys)
     if not len(key):
         return
@@ -645,7 +689,7 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     if o == n + 1:
         raise InterferenceLeak(f"step {step.index}: a served UE lies in the excluded set {step.pi_prime}")
     o -= 1
-    olab = loc.entries[o][1]
+    olab = _entry(schedule, loc.step, o)[1][1]
     if g.pi_member[loc.pi[o], ue]:
         raise InterferenceLeak(f"step {step.index}: residual {gain[ue - 1, beam[o]]:.2e} at UE {ue} for {olab}")
     raise InterferenceLeak(f"step {step.index}: UE {ue} can neither null nor cancel {olab}")
@@ -713,16 +757,17 @@ def _verify(loc: _Located, demand) -> list[RecoveryVerdict]:
 
 
 def soft_simulate(
-    schedule: list[DeliveryStep],
+    schedule: Sequence[DeliveryStep],
     ch: ChannelMatrix | None,
     placement: SoftPlacement,
     demand,
 ) -> list[RecoveryVerdict]:
     """Drive the schedule and verify decodability and bit-exact recovery.
 
-    Every entry is located in the compiled geometry from its own label, and
-    cache plus deliveries must fill every chunk slot of every UE exactly
-    once. With a channel, beamformers are built per distinct null set
+    Every entry is located in the compiled geometry (a ``Schedule`` over the
+    placement's geometry by its step arrays, any other list of steps by its
+    labels), and cache plus deliveries must fill every chunk slot of every
+    UE exactly once. With a channel, beamformers are built per distinct null set
     (degenerate draws redrawn deterministically) and every step is checked
     numerically: desired coefficients stay above the decodability floor,
     nulled coefficients below the residual tolerance, and any bystander must
@@ -745,7 +790,7 @@ def soft_simulate(
 
 
 def collect_deliveries(
-    schedule: list[DeliveryStep],
+    schedule: Sequence[DeliveryStep],
     ch: ChannelMatrix | None,
     placement: SoftPlacement,
 ) -> dict[int, dict[SoftSubfileLabel, bytes]]:
@@ -757,14 +802,13 @@ def collect_deliveries(
     interference checks. ``ch=None`` skips the numeric layer.
     """
     loc = _deliver(schedule, ch, placement)
-    layout = placement.layout
-    first = np.array([f for f, _, _ in layout], dtype=np.int64)[loc.part]
-    chunk = np.array([c for _, _, c in layout], dtype=np.int64)[loc.part]
+    first, _, chunk = np.array(placement.layout, dtype=np.int64).reshape(-1, 3)[loc.part].T
     lo = (first + loc.slot * chunk).tolist()
     hi = (first + (loc.slot + 1) * chunk).tolist()
     contents = placement.library.contents
     got: dict[int, dict[SoftSubfileLabel, bytes]] = {ue: {} for ue in range(1, placement.topology.k + 1)}
-    for (ue, lab), a, b in zip(loc.entries, lo, hi):
+    entries = (e for step in schedule for e in step.entries)
+    for (ue, lab), a, b in zip(entries, lo, hi):
         got[ue][lab] = contents[lab.file - 1][a:b]
     return got
 
@@ -811,7 +855,7 @@ def soft_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
     )
 
 
-def soft_structural_ndt(schedule: list[DeliveryStep], placement: SoftPlacement, rho=None) -> NdtValue:
+def soft_structural_ndt(schedule: Sequence[DeliveryStep], placement: SoftPlacement, rho=None) -> NdtValue:
     """Delivery time re-derived by counting bits in the actual schedule.
 
     Edge: sum of per-step durations (bits served per UE in that step over
@@ -824,25 +868,19 @@ def soft_structural_ndt(schedule: list[DeliveryStep], placement: SoftPlacement, 
         CASE_ONE_SHOT: placement.subfile_bits,
         CASE_CHUNKED: {p: placement.chunk_bits(p) for p in placement.subfile_bits},
     }
-    edge_bits = 0
-    cloud_bits = 0
-    for step in schedule:
-        bits = piece_bits[step.case][step.part]
+    if isinstance(schedule, Schedule):  # every step of a part has one shape
+        g = schedule.geometry
+        shapes = Counter({(g.case, p, g.step_ue.shape[1]): len(g.step_pp) for p in schedule.parts})
+    else:
+        shapes = Counter((s.case, s.part, len(s.entries)) for s in schedule)
+    edge_bits = cloud_bits = 0
+    for (case, part, size), count in shapes.items():
+        bits = piece_bits[case][part] * count
         edge_bits += bits
-        if step.part == PART_CLOUD:
-            cloud_bits += bits * len(step.entries)
+        if part == PART_CLOUD:
+            cloud_bits += bits * size
     per_en = Fraction(cloud_bits, placement.topology.h)
     assert per_en == soft_fronthaul_bits_per_en(placement)
-    if per_en == 0:
-        fronthaul = Fraction(0)
-    else:
-        rho = as_fraction(rho)
-        fronthaul = per_en / (f_bits * rho)
+    fronthaul = per_en / (f_bits * as_fraction(rho)) if per_en else Fraction(0)
     edge = Fraction(edge_bits, f_bits)
-    return NdtValue(
-        total=edge + fronthaul,
-        fronthaul=fronthaul,
-        edge=edge,
-        scheme="soft",
-        branch="structural",
-    )
+    return NdtValue(total=edge + fronthaul, fronthaul=fronthaul, edge=edge, scheme="soft", branch="structural")

@@ -11,6 +11,7 @@ the delivery time is identically zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -22,6 +23,7 @@ from .ndt import NdtValue, as_fraction
 from .soft_transfer import (
     PART_LOCAL,
     DeliveryStep,
+    Schedule,
     SoftPlacement,
     soft_schedule,
     soft_simulate,
@@ -72,7 +74,7 @@ def zf_deliver(
     placement: SoftPlacement,
     t: NetworkTopology,
     ch: ChannelMatrix | None,
-) -> tuple[list[DeliveryStep], list[RecoveryVerdict]]:
+) -> tuple[Schedule, list[RecoveryVerdict]]:
     """Schedule and verify the EN-only delivery of the prefix subfiles; no fronthaul message exists."""
     schedule = soft_schedule(demand, placement, t)
     return schedule, soft_simulate(schedule, ch, placement, demand)
@@ -88,6 +90,6 @@ def zf_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
     return NdtValue(total=edge, fronthaul=Fraction(0), edge=edge, scheme="zf", branch=branch)
 
 
-def zf_structural_ndt(schedule: list[DeliveryStep], placement: SoftPlacement, rho=None) -> NdtValue:
+def zf_structural_ndt(schedule: Sequence[DeliveryStep], placement: SoftPlacement, rho=None) -> NdtValue:
     """Delivery time re-derived from the scheduled bits; no part rides the fronthaul (``rho`` is unused)."""
     return replace(soft_structural_ndt(schedule, placement), scheme="zf")

@@ -22,6 +22,7 @@ from cachenet.mdsia import (
     MessageId,
     UeAlignmentChecks,
 )
+from cachenet.soft_transfer import DeliveryStep
 from cachenet.topology import NetworkTopology, index
 
 REDUCING_POLY = 0x11D
@@ -201,6 +202,27 @@ def delivery_by_enumeration(h: int, k: int, t: int) -> dict:
             cached[ue - 1, r * chunks : (r + 1) * chunks] = True
     key, subset, chunk = np.array(pieces, dtype=np.int64).reshape(len(pieces), 3).T
     return {"steps": tuple(steps), "piece_key": key, "piece_subset": subset, "piece_chunk": chunk, "cached": cached}
+
+
+def eager_schedule(demand, placement) -> list:
+    """The soft/zf schedule of ``placement`` for ``demand``, every step and label built up front.
+
+    Per part in layout order, one ``DeliveryStep`` per enumerated step of
+    ``delivery_by_enumeration``, its entries ``(ue, SoftSubfileLabel(file,
+    subset, part, pi, pi_prime))`` in the step's UE order and numbered from 1
+    across parts. Uses none of the library's geometry or schedule code.
+    """
+    h, k, t = placement.topology.h, placement.topology.k, placement.t_u
+    case = "one-shot" if t >= k - h else "chunked"
+    schedule = []
+    for part in placement.parts:
+        for pi_prime, ues, t_sets, pis in delivery_by_enumeration(h, k, t)["steps"]:
+            entries = tuple(
+                (ue, cn.SoftSubfileLabel(demand[ue - 1], t_set, part, pi, pi_prime))
+                for ue, t_set, pi in zip(ues, t_sets, pis)
+            )
+            schedule.append(DeliveryStep(len(schedule) + 1, case, part, entries, pi_prime))
+    return schedule
 
 
 def mdsia_by_labels(placement, demand):

@@ -1,9 +1,10 @@
 """Tests for the cloud-assisted zero-forcing scheme with subset placement."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,14 +21,17 @@ from cachenet.errors import (
     OutOfRange,
     ReconstructionMismatch,
 )
+from cachenet.schemes import SCHEMES
 from cachenet.soft_transfer import (
     CASE_CHUNKED,
     CASE_ONE_SHOT,
+    _locate,
     collect_deliveries,
     delivery_geometry,
+    subfile_unit,
 )
 
-from oracles import FROZEN, assemble_by_labels, delivery_by_enumeration
+from oracles import FROZEN, assemble_by_labels, delivery_by_enumeration, eager_schedule
 
 
 def make_soft(h, r, mu_r, mu_t, seed=5):
@@ -38,6 +42,15 @@ def make_soft(h, r, mu_r, mu_t, seed=5):
     demand = list(range(1, t.k + 1))
     schedule = cn.soft_schedule(demand, pl, t)
     return t, lib, pl, demand, schedule
+
+
+def step_tuples(g):
+    """The geometry's steps as ``(pi_prime, ues, subsets, pis)`` tuples, rebuilt from its step arrays."""
+    arrays = (g.step_pp, g.step_ue, g.step_subset, g.step_pi)
+    return tuple(
+        (g.pi_primes[pp], tuple(ues), tuple(g.subsets[r] for r in srs), tuple(g.pis[p] for p in prs))
+        for pp, ues, srs, prs in zip(*(a.tolist() for a in arrays))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +90,25 @@ def test_subfile_payloads_tile_the_file():
             for s in __import__("itertools").combinations(range(1, 7), 2)
         )
         assert whole == lib.file(n)
+
+
+def test_payload_accessors_raise_named_errors():
+    t, lib, pl, *_ = make_soft(4, 2, Fraction(1, 6), 0)
+    assert (pl.t_u, pl.parts) == (1, ("cloud",))
+    no_subfile = [
+        cn.SoftSubfileLabel(1, (1, 2), "cloud"),  # a subset of the wrong size
+        cn.SoftSubfileLabel(1, (7,), "cloud"),  # a UE outside the network
+        cn.SoftSubfileLabel(1, (1,), "local"),  # a part the placement lacks
+        cn.SoftSubfileLabel(7, (1,), "cloud"),  # a file past the library
+        cn.SoftSubfileLabel(0, (1,), "cloud"),
+    ]
+    for label in no_subfile:
+        with pytest.raises(OutOfRange):
+            pl.subfile_payload(label)
+    with pytest.raises(ReconstructionMismatch, match="null sets"):
+        pl.chunk_payload(cn.SoftSubfileLabel(1, (1,), "cloud"))  # a placement-level label
+    with pytest.raises(ReconstructionMismatch, match="null sets"):
+        pl.chunk_destination(cn.SoftSubfileLabel(1, (1,), "cloud", pi=(2, 3, 4)))
 
 
 def test_place_rejects_bad_parameters():
@@ -165,7 +197,7 @@ def test_chunked_step_count_closed_forms():
 
 
 def test_chunked_geometry_3_6_1():
-    steps = delivery_geometry(3, 6, 1).steps
+    steps = step_tuples(delivery_geometry(3, 6, 1))
     assert len(steps) == 45
     per_subfile = {}
     for pi_prime, *row in steps:
@@ -188,7 +220,7 @@ def test_chunked_geometry_3_6_1():
 @settings(max_examples=20, deadline=None)
 def test_chunked_geometry_invariants(cfg, data):
     h, k, t_u = cfg
-    pi_prime, *row = data.draw(st.sampled_from(delivery_geometry(h, k, t_u).steps))
+    pi_prime, *row = data.draw(st.sampled_from(step_tuples(delivery_geometry(h, k, t_u))))
     triples = list(zip(*row))
     assert len(triples) == h + t_u
     served = [ue for ue, _, _ in triples]
@@ -377,6 +409,32 @@ def test_simulate_rejects_a_file_id_outside_the_library():
         cn.soft_simulate(schedule, None, pl, demand[:-1] + [0])
 
 
+def test_simulate_rejects_a_schedule_of_another_cache_level():
+    t, lib, pl, demand, schedule = make_soft(4, 2, Fraction(1, 3), 0)
+    _, _, other, _, other_schedule = make_soft(4, 2, Fraction(1, 6), 0)
+    assert (pl.t_u, other.t_u) == (2, 1)
+    for ch in (None, cn.draw_channel(t, 3)):
+        with pytest.raises(ReconstructionMismatch):
+            cn.soft_simulate(schedule, ch, other, demand)
+        with pytest.raises(ReconstructionMismatch):
+            cn.soft_simulate(other_schedule, ch, pl, demand)
+
+
+@pytest.mark.parametrize("mu_r", [Fraction(3, 6), Fraction(1, 6)], ids=["one-shot", "chunked"])
+def test_simulate_rejects_a_schedule_of_other_parts(mu_r):
+    t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
+    _, _, split, _, split_schedule = make_soft(4, 2, mu_r, Fraction(1, 2))
+    mu_r_zf, mu_t_zf = Fraction(pl.t_u + t.k, 2 * t.k), Fraction(1, 2)
+    zf_lib = cn.random_library(t.k, cn.minimal_zf_file_bits(4, 2, mu_r_zf, mu_t_zf), seed=5)
+    zf = cn.zf_place(zf_lib, t, mu_r_zf, mu_t_zf)
+    assert pl.parts == ("cloud",) and split.parts == ("local", "cloud") and zf.parts == ("local",)
+    assert split.t_u == zf.t_u == pl.t_u
+    zf_schedule = cn.soft_schedule(demand, zf, t)
+    for sched, placement in [(schedule, split), (split_schedule, pl), (zf_schedule, pl), (schedule, zf)]:
+        with pytest.raises(ReconstructionMismatch):
+            cn.soft_simulate(sched, None, placement, demand)
+
+
 def test_numerics_name_the_first_step_with_a_leak():
     # UE 3's entries of steps 1 and 5 trade places: both stay pieces UE 3
     # misses, so coverage holds, but each now reaches a bystander in its
@@ -483,10 +541,64 @@ ENUMERATED = [
 def test_compiled_geometry_matches_the_enumeration(h, k, t):
     g = delivery_geometry(h, k, t)
     want = delivery_by_enumeration(h, k, t)
-    assert g.steps == want["steps"]
+    assert step_tuples(g) == want["steps"]
+    m = k if g.case == CASE_ONE_SHOT else h + t
+    assert g.step_pp.shape == (len(want["steps"]),)
+    for name in ("step_ue", "step_subset", "step_pi"):
+        assert getattr(g, name).shape == (len(want["steps"]), m), name
+    for name in ("step_pp", "step_ue", "step_subset", "step_pi"):
+        assert not getattr(g, name).flags.writeable, name
     for name in ("piece_key", "piece_subset", "piece_chunk"):
         assert np.array_equal(getattr(g, name), want[name]), name
     assert np.array_equal(g.cached, want["cached"])
+
+
+def geometry_placement(h, k, t):
+    """A two-part placement over the bare geometry (H, K, t), which need not be a combination network."""
+    unit = subfile_unit(h, k, t)
+    lib = cn.random_library(k, 2 * unit, seed=h + k + t)
+    bare = SimpleNamespace(h=h, k=k)
+    return cn.SoftPlacement(lib, bare, t, Fraction(0), Fraction(0), {"local": unit, "cloud": unit})
+
+
+def assert_schedule_matches_the_oracle(demand, placement):
+    schedule = cn.soft_schedule(demand, placement, placement.topology)
+    want = eager_schedule(demand, placement)
+    got = list(schedule)
+    assert len(schedule) == len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.index, a.case, a.part, a.entries, a.pi_prime) == (b.index, b.case, b.part, b.entries, b.pi_prime)
+    assert schedule == want and want == schedule
+    # built once and kept: iteration, indexing and slicing hand out the same steps
+    assert all(s is g for s, g in zip(schedule, got)) and schedule[::2] == want[::2]
+    assert all(schedule[i] is got[i] for i in range(-len(got), len(got)))
+    # the schedule and the list of its steps locate to the same columns
+    lazy, listed = _locate(schedule, placement), _locate(got, placement)
+    columns = [f.name for f in fields(lazy) if isinstance(getattr(lazy, f.name), np.ndarray)]
+    assert {"step", "ue", "file", "part", "slot", "subset", "pi"} <= set(columns)
+    for name in columns:
+        a, b = getattr(lazy, name), getattr(listed, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("h,k,t", ENUMERATED)
+def test_schedule_matches_the_eager_oracle_on_every_enumerated_geometry(h, k, t):
+    assert_schedule_matches_the_oracle(list(range(k, 0, -1)), geometry_placement(h, k, t))
+
+
+@pytest.mark.parametrize("scheme", ["soft", "zf"])
+@pytest.mark.parametrize("h,r", [(3, 2), (4, 2), (5, 2), (4, 3)])
+def test_schedule_matches_the_eager_oracle_over_the_lattice(h, r, scheme):
+    t = cn.build_topology(h, r)
+    for level in range(t.k + 1):
+        if scheme == "soft":
+            mu_r, mu_t = Fraction(level, t.k), Fraction(0)
+        else:
+            mu_r, mu_t = Fraction(level + t.k, 2 * t.k), Fraction(1, 2)
+        f_bits = SCHEMES[scheme].file_bits(h, r, mu_r, mu_t)
+        pl = SCHEMES[scheme].place(cn.random_library(t.k, f_bits, seed=0), t, mu_r, mu_t)
+        assert pl.t_u == level
+        assert_schedule_matches_the_oracle(list(range(1, t.k + 1)), pl)
 
 
 # ---------------------------------------------------------------------------
