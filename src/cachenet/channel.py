@@ -45,13 +45,10 @@ def draw_channel(t: NetworkTopology, seed) -> ChannelMatrix:
     The same seed always produces the same matrix; ``seed`` may be an int or
     a sequence of ints (used for deterministic redraws).
     """
-    rng = np.random.default_rng(seed)
+    # per UE, the real then the imaginary parts of its r gains, in UE order
+    re, im = np.random.default_rng(seed).standard_normal((t.num_ues, 2, t.r)).transpose(1, 0, 2)
     m = np.zeros((t.num_ues, t.num_ens), dtype=np.complex128)
-    for k in range(1, t.num_ues + 1):
-        ens = t.ue_to_ens[k - 1]
-        vals = (rng.standard_normal(len(ens)) + 1j * rng.standard_normal(len(ens))) / np.sqrt(2)
-        for en, v in zip(ens, vals):
-            m[k - 1, en - 1] = v
+    m[np.arange(t.num_ues)[:, None], np.array(t.ue_to_ens) - 1] = (re + 1j * im) / np.sqrt(2)
     base = seed if isinstance(seed, int) else seed[0]
     return ChannelMatrix(topology=t, seed=base, matrix=m)
 

@@ -135,7 +135,7 @@ def _mdsia_listing(placement, delivery) -> list[str]:
 
 
 def _soft_listing(placement, schedule) -> list[str]:
-    sizes = sorted({len(s.entries) for s in schedule})
+    sizes = [schedule.geometry.step_ue.shape[1]] if len(schedule) else []
     return [
         f"placement: t={placement.t_u}, {placement.n_subfiles} subfiles per part, parts {placement.parts}",
         *subfile_cache_lines(placement),

@@ -6,6 +6,12 @@ the plain segments, chunks ``r+1..h`` are parity, and any ``r`` distinct
 chunks reconstruct the file exactly. The symbol field is GF(2^8) with the
 primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D), which caps ``h`` at
 255.
+
+All byte work is one kernel, ``gf_matmul``: a GF(2^8) matrix product of
+uint8 arrays through a 256 x 256 product table. Encoding multiplies the
+generator by ``(r, segment)`` arrays (a file, or a whole library at once);
+decoding multiplies the inverse of the received chunks' generator rows by
+their ``(r, chunk)`` array.
 """
 
 from __future__ import annotations
@@ -13,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DuplicateChunk, FieldOverflow, LengthError, SingularSystem
+import numpy as np
+
+from .combinatorics import frozen_table
+from .errors import DuplicateChunk, FieldOverflow, LengthError, OutOfRange, SingularSystem
 
 # ---------------------------------------------------------------------------
-# GF(2^8) arithmetic via exp/log tables
+# GF(2^8) arithmetic via exp/log tables and the product table
 # ---------------------------------------------------------------------------
 
 GF_POLY = 0x11D
@@ -47,33 +56,22 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-def gf_pow(a: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if a == 0:
-        return 0
-    return GF_EXP[(GF_LOG[a] * n) % 255]
+#: GF_MUL_TABLE[a, b] is the product a * b, GF_EXP[GF_LOG[a] + GF_LOG[b]]; row and column 0 are zero
+GF_MUL_TABLE = np.lib.stride_tricks.sliding_window_view(np.array(GF_EXP, np.uint8), 256)[GF_LOG].take(GF_LOG, axis=1)
+GF_MUL_TABLE[0] = GF_MUL_TABLE[:, 0] = 0
+GF_MUL_TABLE.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
-def _mul_table(c: int) -> bytes:
-    # translation table for scalar-multiplying a whole payload at once
-    return bytes(gf_mul(c, x) for x in range(256))
+def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF(2^8) product ``a @ b`` of uint8 arrays, batched over leading axes as numpy's ``@``.
 
-
-def gf_scale(payload: bytes, c: int) -> bytes:
-    if c == 0:
-        return bytes(len(payload))
-    if c == 1:
-        return payload
-    return payload.translate(_mul_table(c))
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise LengthError(f"xor of unequal lengths {len(a)} != {len(b)}")
-    n = len(a)
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+    One table gather per inner index, XOR-accumulated into the output, so
+    no temporary is larger than the output.
+    """
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=np.uint8)
+    for j in range(a.shape[-1]):
+        out ^= GF_MUL_TABLE[a[..., :, j, None], b[..., None, j, :]]
+    return out
 
 
 def gf_matrix_inv(m: list[list[int]]) -> list[list[int]]:
@@ -117,7 +115,15 @@ class Library:
             raise LengthError("all files must have file_size_bits bits")
 
     def file(self, n: int) -> bytes:
+        if not 1 <= n <= self.n_files:
+            raise OutOfRange(f"no file {n}: file ids run 1..{self.n_files}")
         return self.contents[n - 1]
+
+    @property
+    def array(self) -> np.ndarray:
+        """Every file as one read-only ``(n_files, file bytes)`` uint8 array, joined afresh on
+        each read: a cached copy would double the memory of every library kept alive."""
+        return np.frombuffer(b"".join(self.contents), dtype=np.uint8).reshape(self.n_files, self.file_size_bits // 8)
 
 
 def random_library(n_files: int, file_size_bits: int, seed: int) -> Library:
@@ -142,46 +148,24 @@ class CodedChunk:
 
 
 @lru_cache(maxsize=None)
-def generator_rows(h: int, r: int) -> tuple[tuple[int, ...], ...]:
+def generator_rows(h: int, r: int) -> np.ndarray:
     """Rows of the systematic Vandermonde generator (evaluation points 1..h).
 
     Row ``i`` (1-based) maps the r file segments to chunk ``i``; rows 1..r
-    are unit vectors, so the code is systematic.
+    are unit vectors, so the code is systematic. A read-only ``(h, r)``
+    array; raises ``FieldOverflow`` past the 255 evaluation points of GF(2^8).
     """
-    vtop = [[gf_pow(x, j) for j in range(r)] for x in range(1, r + 1)]
-    vtop_inv = gf_matrix_inv(vtop)
-    rows = []
-    for x in range(1, h + 1):
-        v = [gf_pow(x, j) for j in range(r)]
-        rows.append(
-            tuple(
-                _gf_dot(v, [vtop_inv[jj][col] for jj in range(r)])
-                for col in range(r)
-            )
-        )
-    return tuple(rows)
+    if h > 255:
+        raise FieldOverflow(f"h={h} exceeds the 8-bit symbol field (max 255)")
+    vand = np.array(GF_EXP, np.uint8)[np.outer(GF_LOG[1 : max(h, r) + 1], range(r)) % 255]  # x^j at x = 1, 2, ...
+    return frozen_table(gf_matmul(vand[:h], np.array(gf_matrix_inv(vand[:r].tolist()), np.uint8)), np.uint8)
 
 
 @lru_cache(maxsize=1024)
-def _decoder_rows(chunk_ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the generator rows of the ascending ``chunk_ids``."""
+def decoder_rows(chunk_ids: tuple[int, ...]) -> np.ndarray:
+    """Inverse of the generator rows of the ascending ``chunk_ids``, read-only."""
     rows = generator_rows(chunk_ids[-1], len(chunk_ids))
-    return tuple(map(tuple, gf_matrix_inv([list(rows[i - 1]) for i in chunk_ids])))
-
-
-def _gf_dot(a: list[int], b: list[int]) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        acc ^= gf_mul(x, y)
-    return acc
-
-
-def _combine(coeffs: tuple[int, ...], segments: list[bytes]) -> bytes:
-    acc = bytes(len(segments[0]))
-    for c, seg in zip(coeffs, segments):
-        if c:
-            acc = xor_bytes(acc, gf_scale(seg, c))
-    return acc
+    return frozen_table(gf_matrix_inv([rows[i - 1].tolist() for i in chunk_ids]), np.uint8)
 
 
 def mds_encode(file: bytes, h: int, r: int, file_id: int = 0) -> list[CodedChunk]:
@@ -197,18 +181,11 @@ def mds_encode(file: bytes, h: int, r: int, file_id: int = 0) -> list[CodedChunk
     LengthError
         If the file length is not divisible by ``r``.
     """
-    if h > 255:
-        raise FieldOverflow(f"h={h} exceeds the 8-bit symbol field (max 255)")
+    rows = generator_rows(h, r)
     if len(file) % r != 0:
         raise LengthError(f"file length {len(file)} not divisible by r={r}")
-    seg_len = len(file) // r
-    segments = [file[j * seg_len:(j + 1) * seg_len] for j in range(r)]
-    rows = generator_rows(h, r)
-    chunks = []
-    for i in range(1, h + 1):
-        payload = segments[i - 1] if i <= r else _combine(rows[i - 1], segments)
-        chunks.append(CodedChunk(file_id=file_id, chunk_id=i, payload=payload))
-    return chunks
+    coded = gf_matmul(rows, np.frombuffer(file, dtype=np.uint8).reshape(r, -1))
+    return [CodedChunk(file_id=file_id, chunk_id=i, payload=c.tobytes()) for i, c in enumerate(coded, start=1)]
 
 
 def mds_decode(chunks: list[CodedChunk]) -> bytes:
@@ -233,7 +210,5 @@ def mds_decode(chunks: list[CodedChunk]) -> bytes:
         raise LengthError("chunk payloads of unequal length")
 
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
-    m_inv = _decoder_rows(tuple(c.chunk_id for c in ordered))
-    payloads = [c.payload for c in ordered]
-    segments = [_combine(m_inv[j], payloads) for j in range(r)]
-    return b"".join(segments)
+    payloads = np.frombuffer(b"".join(c.payload for c in ordered), dtype=np.uint8).reshape(r, -1)
+    return gf_matmul(decoder_rows(tuple(c.chunk_id for c in ordered)), payloads).tobytes()

@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -53,7 +54,7 @@ from .errors import (
     ReconstructionMismatch,
     UnsupportedRegime,
 )
-from .mdscode import CodedChunk, Library, mds_decode, mds_encode
+from .mdscode import Library, decoder_rows, generator_rows, gf_matmul
 from .ndt import NdtValue, as_fraction
 from .topology import NetworkTopology, build_topology, validate_demand
 from .verdict import RecoveryVerdict
@@ -139,6 +140,8 @@ class MdsiaGeometry:
     slot_label: np.ndarray = field(repr=False)
     # per UE and serving EN q: the EN, the UE's rank there, and the t-subsets holding that rank
     ue_ens: np.ndarray = field(repr=False)
+    # per UE: the GF(2^8) inverse of its serving ENs' generator rows, (K, r, r)
+    ue_decoder: np.ndarray = field(repr=False)
     ue_rank: np.ndarray = field(repr=False)
     ue_cached: np.ndarray = field(repr=False)
     # rank_at[UE, EN]: the UE's rank at the EN, 0 if not served there;
@@ -210,6 +213,7 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
         slot_q=frozen_table(q_at[slot_ue, slot_en[:, None]]),
         slot_label=frozen_table(slot_label),
         ue_ens=frozen_table(ue_ens),
+        ue_decoder=frozen_table([decoder_rows(ens) for ens in top.ue_to_ens], np.uint8),
         ue_rank=frozen_table(ue_rank),
         ue_cached=frozen_table(contains[ue_rank], bool),
         rank_at=frozen_table(rank_at),
@@ -415,9 +419,7 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
     en_bits = int(min(mu_t, Fraction(1, t.r)) * f_bits)
     cloud_bits = f_bits // t.r - en_bits
 
-    coded = b"".join(
-        c.payload for n in range(1, lib.n_files + 1) for c in mds_encode(lib.file(n), t.h, t.r, file_id=n)
-    )
+    coded = gf_matmul(generator_rows(t.h, t.r), lib.array.reshape(lib.n_files, t.r, -1))
     g = mdsia_geometry(t.h, t.r, t_e)
     tags = (EN_PART, CLOUD_PART) if en_bits and cloud_bits else (None,)
     ue_caches = {
@@ -437,7 +439,7 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
         cloud_part_bits=cloud_bits,
         ue_caches=MappingProxyType(ue_caches),
         en_caches=MappingProxyType(en_caches),
-        _coded=frozen_table(np.frombuffer(coded, dtype=np.uint8).reshape(lib.n_files, t.h, -1), np.uint8),
+        _coded=frozen_table(coded, np.uint8),
     )
 
 
@@ -840,32 +842,28 @@ def mdsia_decode_check(
         If a decoded file differs from the library copy.
     """
     demand = validate_demand(demand, t, placement.library.n_files, warn_repeats=False)
-    g, lib = placement.geometry, placement.library
+    g, parts = placement.geometry, placement.parts()
     want = np.asarray(demand, dtype=np.int64)
-    parts = placement.parts()
     # scan positions advance by 2 per (UE, serving EN, part, subset), so that
     # a UE's mismatch (odd) sorts after all its peels and before the next UE
     block = 2 * t.r * len(parts) * len(g.subsets)
-    first_failure = None
-    assembled = []
+    failures, assembled = [], []
     for p, (tag, path, _) in enumerate(parts):
         pieces = placement.pieces(tag)[want[:, None] - 1, g.ue_ens - 1]  # (K, r, subsets, bytes)
         pieces[~g.ue_cached] = 0
-        failure = _peel_path(cloud_msgs if path == "cloud" else local_msgs, p, path, placement, want, pieces)
-        if failure is not None and (first_failure is None or failure[0] < first_failure[0]):
-            first_failure = failure
+        failures.append(_peel_path(cloud_msgs if path == "cloud" else local_msgs, p, path, placement, want, pieces))
         assembled.append(pieces.reshape(t.k, t.r, -1))
-    chunks = np.concatenate(assembled, axis=2)
 
-    verdicts = []
-    for k, (n, ens, row) in enumerate(zip(demand, g.ue_ens.tolist(), chunks), start=1):
-        if first_failure is not None and first_failure[0] < k * block:
-            raise first_failure[1]
-        rebuilt = mds_decode([CodedChunk(file_id=n, chunk_id=i, payload=c.tobytes()) for i, c in zip(ens, row)])
-        if rebuilt != lib.file(n):
-            raise ReconstructionMismatch(f"UE {k} rebuilt file {n} incorrectly")
-        verdicts.append(RecoveryVerdict(ue=k, file_id=n, ok=True))
-    return verdicts
+    # every UE's file from its r chunks in one product, compared in one pass
+    rebuilt = gf_matmul(g.ue_decoder, np.concatenate(assembled, axis=2)).reshape(t.k, -1)
+    wrong = np.flatnonzero((rebuilt != placement.library.array[want - 1]).any(axis=1))
+    if len(wrong):
+        k = int(wrong[0]) + 1
+        failures.append((k * block - 1, ReconstructionMismatch(f"UE {k} rebuilt file {want[k - 1]} incorrectly")))
+    first = min(filter(None, failures), key=itemgetter(0), default=None)
+    if first is not None:
+        raise first[1]
+    return [RecoveryVerdict(ue=k, file_id=n, ok=True) for k, n in enumerate(demand, start=1)]
 
 
 #: the UE column of the padding after a message's last member

@@ -707,16 +707,15 @@ def _deliver(schedule, ch: ChannelMatrix | None, placement: SoftPlacement, deman
     return loc
 
 
-def _assemble(loc: _Located, demand) -> np.ndarray:
-    """Every UE's copy of its requested file, one row per UE.
+def _assemble(loc: _Located, demand, files: np.ndarray) -> np.ndarray:
+    """Every UE's copy of its requested file from the library's ``files``, one row per UE.
 
     One gather per part: slots default to the UE's own cached copy, and each
     delivered slot is read from the file its entry names. The whole-cached
     suffix comes from the UE's own copy.
     """
     placement = loc.placement
-    lib, k, n_slots = placement.library, placement.geometry.k, placement.geometry.slots
-    files = np.frombuffer(b"".join(lib.contents), dtype=np.uint8).reshape(lib.n_files, -1)
+    k, n_slots = placement.geometry.k, placement.geometry.slots
     want = np.asarray(demand, dtype=np.int64) - 1
     pieces = []
     for i, (first, _, chunk) in enumerate(placement.layout):
@@ -729,10 +728,9 @@ def _assemble(loc: _Located, demand) -> np.ndarray:
     return np.concatenate(pieces, axis=1)
 
 
-def _mismatch(loc: _Located, ue: int, want: int, expected: bytes, got: np.ndarray) -> ReconstructionMismatch:
+def _mismatch(loc: _Located, ue: int, want: int, got: np.ndarray) -> ReconstructionMismatch:
     """Name the entry behind the first wrong byte of UE ``ue``'s file."""
-    wrong = np.flatnonzero(got != np.frombuffer(expected[: len(got)], dtype=np.uint8))
-    byte = int(wrong[0]) if len(wrong) else len(got)
+    byte = int(np.argmax(got != loc.placement.library.array[want - 1]))
     source = "its cache"
     for i, (first, _, chunk) in enumerate(loc.placement.layout):
         if first <= byte < first + loc.placement.geometry.slots * chunk:
@@ -745,15 +743,16 @@ def _verify(loc: _Located, demand) -> list[RecoveryVerdict]:
     """Assemble every UE's file and byte-compare it with the library copy; one ok-verdict per UE."""
     lib, k = loc.placement.library, loc.placement.topology.k
     demand = validate_demand(demand, loc.placement.topology, lib.n_files, warn_repeats=False)
-    blobs = _assemble(loc, demand)
+    files = lib.array
+    blobs = _assemble(loc, demand, files)
+    wrong = np.flatnonzero((blobs != files[np.asarray(demand) - 1]).any(axis=1))
+    if len(wrong):
+        raise _mismatch(loc, int(wrong[0]) + 1, demand[wrong[0]], blobs[wrong[0]])
     counts = np.bincount(loc.ue, minlength=k + 1)
-    verdicts = []
-    for ue in range(1, k + 1):
-        want = demand[ue - 1]
-        if blobs[ue - 1].tobytes() != lib.file(want):
-            raise _mismatch(loc, ue, want, lib.file(want), blobs[ue - 1])
-        verdicts.append(RecoveryVerdict(ue=ue, file_id=want, ok=True, note=f"{counts[ue]} deliveries"))
-    return verdicts
+    return [
+        RecoveryVerdict(ue=ue, file_id=want, ok=True, note=f"{counts[ue]} deliveries")
+        for ue, want in enumerate(demand, start=1)
+    ]
 
 
 def soft_simulate(

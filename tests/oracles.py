@@ -48,6 +48,18 @@ def peasant_gf_pow(a: int, n: int) -> int:
     return acc
 
 
+def draw_channel_per_ue(t: NetworkTopology, seed) -> np.ndarray:
+    """The channel matrix drawn UE by UE: real then imaginary parts of each row's support."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((t.num_ues, t.num_ens), dtype=np.complex128)
+    for k in range(1, t.num_ues + 1):
+        ens = t.ue_to_ens[k - 1]
+        vals = (rng.standard_normal(len(ens)) + 1j * rng.standard_normal(len(ens))) / np.sqrt(2)
+        for en, v in zip(ens, vals):
+            m[k - 1, en - 1] = v
+    return m
+
+
 def elimination_rank(m: np.ndarray, tol: float = 1e-9) -> int:
     """Rank of a complex matrix by Gaussian elimination with partial pivoting."""
     a = np.array(m, dtype=np.complex128)

@@ -19,7 +19,7 @@ from cachenet.channel import (
     ZF_RESIDUAL_TOL,
 )
 
-from oracles import elimination_rank
+from oracles import draw_channel_per_ue, elimination_rank
 
 
 def test_draw_is_deterministic():
@@ -29,6 +29,13 @@ def test_draw_is_deterministic():
     assert np.array_equal(a.matrix, b.matrix)
     c = draw_channel(t, 43)
     assert not np.array_equal(a.matrix, c.matrix)
+
+
+@pytest.mark.parametrize("h, r", [(4, 2), (5, 2), (6, 2), (12, 2), (7, 3)])
+def test_draw_matches_the_per_ue_draw(h, r):
+    t = build_topology(h, r)
+    for seed in (0, 1, 12345, (3, 1)):
+        assert np.array_equal(draw_channel(t, seed).matrix, draw_channel_per_ue(t, seed))
 
 
 def test_structural_zeros_and_support():

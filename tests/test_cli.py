@@ -9,6 +9,7 @@ import pytest
 from cachenet.cli import CSV_HEADER, cell, frac_str, main, parse_cell
 from cachenet.fixtures import all_fixtures
 from cachenet.schemes import SCHEMES
+from cachenet.soft_transfer import Schedule
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,21 @@ def test_run_soft_scheme(capsys):
     assert code == 0
     assert "schedule: 10 steps, entries per step [6]" in out
     assert "decode: 6/6 files rebuilt bit-exactly" in out
+
+
+@pytest.mark.parametrize("mu_r, listing", [
+    ("1/3", "schedule: 10 steps, entries per step [6]"),
+    ("1", "schedule: 0 steps, entries per step []"),
+])
+def test_run_soft_listing_builds_no_step(capsys, monkeypatch, mu_r, listing):
+    def refuse(self):
+        raise AssertionError("the soft run built its schedule's steps")
+
+    monkeypatch.setattr(Schedule, "_steps", property(refuse))
+    code = main(["run", "--h", "4", "--r", "2", "--mu-r", mu_r, "--scheme", "soft"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert listing in out
 
 
 def test_run_zf_scheme(capsys):

@@ -440,6 +440,21 @@ def test_decode_check_reports_the_first_failure_in_scan_order():
         run(relabelled, by_id[dropped])
 
 
+def test_decode_check_reports_the_lowest_mismatching_ue_first():
+    # the second corrupted message below reaches UE 6, the lowest UE either reaches
+    t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
+    by_id = {m.id: m for m in cloud}
+    tampered = {
+        mid: dataclasses.replace(by_id[mid], payload=bytes(b ^ 0xFF for b in by_id[mid].payload))
+        for mid in ((5, (2, 3)), (2, (3, 4)))
+    }
+    assert [k for k, _ in tampered[(5, (2, 3))].members] == [7, 9]
+    assert [k for k, _ in tampered[(2, (3, 4))].members] == [6, 7]
+    msgs = [tampered.get(m.id, m) for m in cloud]
+    with pytest.raises(ReconstructionMismatch, match=re.escape("UE 6 rebuilt file 6 incorrectly")):
+        cn.mdsia_decode_check(demand, pl, msgs, local, t)
+
+
 def test_decode_check_names_a_wrong_own_label():
     t, lib, pl, demand, cloud, local, *_ = make_pipeline(5, 2, Fraction(1, 4), 0)
     bad = replace_member(cloud[0], 1, cn.PieceLabel(3, 1, (2,)))
