@@ -2,9 +2,9 @@
 
 The channel between the ENs and a UE only exists on the UE's serving subset,
 so every row of the K x H gain matrix has structural zeros outside that
-subset. Beamformers are null-space vectors of the rows being zero-forced;
-because the matrices are tiny (at most a few dozen rows), plain SVD with a
-relative tolerance is ample.
+subset. A beam is a null-space vector of the rows it zero-forces. The matrices
+are tiny, so every beam of a delivery comes from one batched SVD per null-set
+size (relative tolerance), and one gain product decides the coefficient floor.
 """
 
 from __future__ import annotations
@@ -53,6 +53,18 @@ def draw_channel(t: NetworkTopology, seed) -> ChannelMatrix:
     return ChannelMatrix(topology=t, seed=base, matrix=m)
 
 
+def _kernels(stack: np.ndarray):
+    """Right singular vectors ``vh`` of every matrix of a stack (n, rows, cols), from one
+    SVD, and the (n, cols) mask of those spanning each kernel; asserts as null_space."""
+    _, s, vh = np.linalg.svd(stack)
+    top = s.max(axis=1, initial=0.0)
+    scale = np.where(top > 0, top, 1.0)
+    kernel = np.arange(stack.shape[2]) >= (s > ZF_RESIDUAL_TOL * scale[:, None]).sum(axis=1)[:, None]
+    resid = np.linalg.norm(stack @ vh.conj().transpose(0, 2, 1), axis=1)
+    assert (resid <= ZF_RESIDUAL_TOL * np.maximum(scale, 1.0)[:, None])[kernel].all(), "kernel residual too large"
+    return vh, kernel
+
+
 def null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis of ``m`` (columns), via SVD.
 
@@ -60,18 +72,9 @@ def null_space(m: np.ndarray) -> np.ndarray:
     vector has relative residual at most ``ZF_RESIDUAL_TOL``. An empty basis
     (shape (cols, 0)) is a legal return.
     """
-    rows, cols = m.shape
-    assert rows <= cols, f"null_space expects rows <= columns, got {m.shape}"
-    if rows == 0:
-        return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > ZF_RESIDUAL_TOL * scale))
-    basis = vh[rank:].conj().T
-    for j in range(basis.shape[1]):
-        resid = np.linalg.norm(m @ basis[:, j])
-        assert resid <= ZF_RESIDUAL_TOL * max(1.0, scale), "kernel residual too large"
-    return basis
+    assert m.shape[0] <= m.shape[1], f"null_space expects rows <= columns, got {m.shape}"
+    vh, kernel = _kernels(m[None])
+    return vh[0, kernel[0]].conj().T
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,45 @@ class Beamformer:
     zero_forcing_set: tuple[int, ...]
     vector: np.ndarray = field(repr=False)
     mode: str = SUM_OF_BASIS
+
+
+def _zero_forcing_beams(matrix: np.ndarray, sets: list, mode: str, receivers_by_set=None) -> np.ndarray:
+    """Unit beams, one row per set of sorted UE tuples ``sets``, each nulling its set's rows of ``matrix``.
+
+    Sets of one size share one ``_kernels`` call, and the coefficient floor
+    of every beam is decided from one gain product ``|matrix @ beams|``. The
+    error raised is the one the first failing set in ``sets`` order would
+    meet (see make_beamformer).
+    """
+    k, h = matrix.shape
+    over = next((i for i, pi in enumerate(sets) if len(pi) > h - 1), len(sets))
+    head = sets[:over]
+    if head and mode not in (SUM_OF_BASIS, SINGLE_NULL):
+        raise ValueError(f"unknown beamformer mode {mode!r}")
+    beams = np.full((len(head), h), 1 / np.sqrt(h), dtype=np.complex128)  # an empty set keeps this uniform beam
+    # the floor holds at a set's receivers, by default every UE, outside the set
+    listeners = [receivers_by_set.get(pi) if receivers_by_set else None for pi in head]
+    check = np.array([r is None for r in listeners], dtype=bool)[:, None].repeat(k, axis=1)
+    heard = [(i, u - 1) for i, r in enumerate(listeners) if r is not None for u in r]
+    check[tuple(np.array(heard, dtype=np.int64).reshape(-1, 2).T)] = True
+    for size in sorted({len(pi) for pi in head} - {0}):
+        at = np.array([i for i, pi in enumerate(head) if len(pi) == size])
+        rows = np.array([head[i] for i in at], dtype=np.int64) - 1
+        vh, kernel = _kernels(matrix[rows])
+        if mode == SINGLE_NULL:
+            kernel &= np.cumsum(kernel, axis=1) == 1  # its first kernel vector only
+        v = (vh * kernel[..., None]).sum(axis=1).conj()
+        beams[at] = v / np.linalg.norm(v, axis=1, keepdims=True)
+        check[at[:, None], rows] = False
+
+    gain = np.abs(matrix @ beams.T).T
+    fail = check & (gain < DESIRED_COEF_MIN)
+    if fail.any():
+        first, ue = np.unravel_index(np.argmax(fail), fail.shape)
+        raise DegenerateChannel(f"receiver {ue + 1} coefficient {gain[first, ue]:.2e} below {DESIRED_COEF_MIN}")
+    if over < len(sets):
+        raise EmptyNullSpace(f"cannot zero-force {len(sets[over])} UEs with {h} ENs")
+    return beams
 
 
 def make_beamformer(ch: ChannelMatrix, pi, mode: str, receivers=None) -> Beamformer:
@@ -105,38 +147,9 @@ def make_beamformer(ch: ChannelMatrix, pi, mode: str, receivers=None) -> Beamfor
         If a checked receiver would get the beam with a coefficient below
         ``DESIRED_COEF_MIN``; the caller should redraw the channel.
     """
-    t = ch.topology
     pi = tuple(sorted(pi))
-    h = t.num_ens
-    if len(pi) > h - 1:
-        raise EmptyNullSpace(f"cannot zero-force {len(pi)} UEs with {h} ENs")
-    if mode not in (SUM_OF_BASIS, SINGLE_NULL):
-        raise ValueError(f"unknown beamformer mode {mode!r}")
-
-    if not pi:
-        v = np.ones(h, dtype=np.complex128) / np.sqrt(h)
-    else:
-        stacked = ch.matrix[[u - 1 for u in pi], :]
-        basis = null_space(stacked)
-        if basis.shape[1] == 0:
-            raise EmptyNullSpace(f"no kernel direction for zero-forcing set {pi}")
-        v = basis[:, 0] if mode == SINGLE_NULL else basis.sum(axis=1)
-        norm = np.linalg.norm(v)
-        if norm < ZF_RESIDUAL_TOL:
-            raise DegenerateChannel(f"kernel combination vanished for {pi}")
-        v = v / norm
-
-    forbidden = set(pi)
-    targets = range(1, t.num_ues + 1) if receivers is None else sorted(set(receivers))
-    for k in targets:
-        if k in forbidden:
-            continue
-        coef = abs(np.dot(ch.row(k), v))
-        if coef < DESIRED_COEF_MIN:
-            raise DegenerateChannel(
-                f"receiver {k} coefficient {coef:.2e} below {DESIRED_COEF_MIN}"
-            )
-    return Beamformer(zero_forcing_set=pi, vector=v, mode=mode)
+    rec = None if receivers is None else {pi: receivers}
+    return Beamformer(zero_forcing_set=pi, vector=_zero_forcing_beams(ch.matrix, [pi], mode, rec)[0], mode=mode)
 
 
 def beamformers_for(
@@ -151,18 +164,13 @@ def beamformers_for(
     and the attempt number); channels that stay degenerate for
     ``max_attempts`` draws propagate DegenerateChannel.
     """
-    current = ch
+    keys = list(dict.fromkeys(tuple(sorted(pi)) for pi in pi_sets))
     for attempt in range(max_attempts):
+        current = ch.redraw(attempt) if attempt else ch
         try:
-            mapping = {}
-            for pi in pi_sets:
-                key = tuple(sorted(pi))
-                if key not in mapping:
-                    rec = receivers_by_set.get(key) if receivers_by_set else None
-                    mapping[key] = make_beamformer(current, key, mode, rec)
-            return mapping, current, attempt
+            beams = _zero_forcing_beams(current.matrix, keys, mode, receivers_by_set)
+            return {key: Beamformer(key, v, mode) for key, v in zip(keys, beams)}, current, attempt
         except DegenerateChannel:
             if attempt == max_attempts - 1:
                 raise
-            current = ch.redraw(attempt + 1)
     raise DegenerateChannel("unreachable")

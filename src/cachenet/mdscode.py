@@ -164,6 +164,8 @@ def generator_rows(h: int, r: int) -> np.ndarray:
 @lru_cache(maxsize=1024)
 def decoder_rows(chunk_ids: tuple[int, ...]) -> np.ndarray:
     """Inverse of the generator rows of the ascending ``chunk_ids``, read-only."""
+    if chunk_ids[0] < 1:
+        raise OutOfRange(f"no chunk {chunk_ids[0]}: chunk ids run 1..h")
     rows = generator_rows(chunk_ids[-1], len(chunk_ids))
     return frozen_table(gf_matrix_inv([rows[i - 1].tolist() for i in chunk_ids]), np.uint8)
 
@@ -195,6 +197,8 @@ def mds_decode(chunks: list[CodedChunk]) -> bytes:
     ------
     DuplicateChunk
         If two chunks share a chunk id or the chunks mix file ids.
+    OutOfRange
+        If a chunk id is below 1.
     SingularSystem
         Internal assertion; cannot trigger for distinct Vandermonde ids.
     """

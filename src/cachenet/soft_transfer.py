@@ -650,16 +650,14 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     mode = SUM_OF_BASIS if g.case == CASE_ONE_SHOT else SINGLE_NULL
     # one beam per null set, in first-use order, floor-checked only at the
     # UEs scheduled to decode it: bystanders may sit in a structural null
-    used, first = np.unique(loc.pi, return_index=True)
-    used = used[np.argsort(first)]
-    receivers = {g.pis[p]: set() for p in used.tolist()}
+    used, first, inverse = np.unique(loc.pi, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    receivers = {g.pis[p]: set() for p in used[order].tolist()}
     for code in np.unique(loc.pi * (g.k + 1) + loc.ue).tolist():
         receivers[g.pis[code // (g.k + 1)]].add(code % (g.k + 1))
     beams, ch, _ = beamformers_for(ch, receivers, mode, receivers_by_set=receivers)
-    column = np.zeros(len(g.pis), dtype=np.int64)
-    column[used] = np.arange(len(used))
-    gain = np.abs(ch.matrix @ np.stack([beams[g.pis[p]].vector for p in used.tolist()], axis=1))
-    beam = column[loc.pi]
+    gain = np.abs(ch.matrix @ np.stack([bf.vector for bf in beams.values()], axis=1))
+    beam = np.argsort(order)[inverse]  # each entry's column: its null set's place in first-use order
 
     # every failure gets its scan-order key: receiving entry, then its desired
     # floor, each other entry of its step in order, and last the step's excluded set

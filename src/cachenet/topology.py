@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from .combinatorics import lex_ranks
 from .errors import DemandLengthMismatch, InvalidConnectivity, NonDistinctDemand, OutOfRange
 
 MAX_UES = 10**6
@@ -80,7 +81,10 @@ class NetworkTopology:
 
     def ue_of_en_subset(self, ens: tuple[int, ...]) -> int | None:
         """The UE attached to exactly this EN subset, or None."""
-        return _subset_lookup(self).get(tuple(sorted(ens)))
+        members = [en in ens for en in range(1, self.num_ens + 1)]
+        if len(ens) != self.connectivity or sum(members) != len(ens):
+            return None
+        return int(lex_ranks(members, True)) + 1
 
 
 def build_topology(h: int, r: int) -> NetworkTopology:
@@ -135,20 +139,6 @@ def index(t: NetworkTopology, i: int, k: int) -> int | None:
     if i not in t.ue_to_ens[k - 1]:
         return None
     return t.en_to_ues[i - 1].index(k) + 1
-
-
-# keyed by (h, r), never by object identity: recycled addresses of dead
-# topologies must not hand a fresh network a stale table
-_SUBSET_CACHE: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-
-
-def _subset_lookup(t: NetworkTopology) -> dict[tuple[int, ...], int]:
-    key = (t.num_ens, t.connectivity)
-    table = _SUBSET_CACHE.get(key)
-    if table is None:
-        table = {ens: k for k, ens in enumerate(t.ue_to_ens, start=1)}
-        _SUBSET_CACHE[key] = table
-    return table
 
 
 def validate_demand(demand, t: NetworkTopology, n_files: int, warn_repeats: bool = True) -> list[int]:

@@ -10,11 +10,12 @@ from cachenet import (
     DuplicateChunk,
     FieldOverflow,
     LengthError,
+    OutOfRange,
     mds_decode,
     mds_encode,
     random_library,
 )
-from cachenet.mdscode import GF_POLY, gf_inv, gf_mul
+from cachenet.mdscode import GF_POLY, CodedChunk, gf_inv, gf_mul
 
 from oracles import peasant_gf_mul
 
@@ -82,6 +83,14 @@ def test_decode_rejects_duplicates_and_empty_input():
         mds_decode([chunks[0], chunks[0]])
     with pytest.raises(LengthError):
         mds_decode([])
+
+
+@pytest.mark.parametrize("chunk_id", [-1, 0, -3])
+def test_decode_rejects_chunk_ids_below_one(chunk_id):
+    # -1 used to be read as the last generator row, 0 as a singular system
+    chunks = mds_encode(bytes(range(8)), 5, 2, file_id=1)
+    with pytest.raises(OutOfRange, match=rf"^no chunk {chunk_id}: chunk ids run 1\.\.h$"):
+        mds_decode([CodedChunk(1, chunk_id, chunks[0].payload), chunks[1]])
 
 
 def test_mixed_files_rejected():

@@ -1,6 +1,6 @@
 """Connectivity structure: subset enumeration, rank queries, regularity."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -80,6 +80,16 @@ def test_subset_lookup_survives_object_churn():
         t = build_topology(h, r)
         for ue in range(1, t.k + 1):
             assert t.ue_of_en_subset(t.ens_of_ue(ue)) == ue
+
+
+def test_subset_lookup_rejects_what_is_not_an_r_subset():
+    # every r-tuple over -1..H+1: repeats, out-of-range ENs and any order
+    for h, r in [(4, 2), (5, 2), (6, 3), (12, 2)]:
+        t = build_topology(h, r)
+        ue_of = {ens: k for k, ens in enumerate(t.ue_to_ens, start=1)}
+        for ens in product(range(-1, h + 2), repeat=r):
+            assert t.ue_of_en_subset(ens) == ue_of.get(tuple(sorted(ens))), ens
+        assert t.ue_of_en_subset(()) is None and t.ue_of_en_subset(tuple(range(1, r + 2))) is None
 
 
 def test_invalid_connectivity():
