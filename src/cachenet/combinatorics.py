@@ -6,14 +6,17 @@ comes from the cache fractions through one of three normalizers: ``"L"``
 ``"ZF"`` (t = (mu_r + mu_t - 1)*K/mu_t, the cloud-free prefix). This module
 owns that map and its inverse, the lexicographic rank of subsets given as
 masks, the chunk count of the under-provisioned regime, the smallest file size
-that slices into whole bytes, and the read-only arrays that hold the
-compiled index tables. Cache fractions are exact rationals (ints or
+that slices into whole bytes, the read-only arrays that hold the compiled
+index tables, and the lazy sequence through which a delivery built on them
+reads as a list. Cache fractions are exact rationals (ints or
 ``Fraction``); all arithmetic here stays on their integer parts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -40,10 +43,15 @@ def lex_ranks(members, pool) -> np.ndarray:
     position = np.cumsum(pool, axis=-1, dtype=small)
     left = size[..., None] + 1 - np.cumsum(members, axis=-1, dtype=small)
     top_n, top_size = int(n.max(initial=0)), int(size.max(initial=0))
-    # a zero column past the largest size stands in for every non-member
-    pascal = np.array([[comb(a, b) for b in range(top_size + 1)] + [0] for a in range(top_n + 1)], dtype=np.int64)
+    pascal = _pascal(top_n, top_size)
     terms = pascal[n[..., None] - position, np.where(members, left, top_size + 1)]
     return pascal[n, size] - 1 - terms.sum(axis=-1)
+
+
+@lru_cache(maxsize=256)
+def _pascal(n: int, size: int) -> np.ndarray:
+    # C(a, b) for a <= n and b <= size, then a zero column that stands in for every non-member
+    return frozen_table([[comb(a, b) for b in range(size + 1)] + [0] for a in range(n + 1)])
 
 
 def chunk_count(h: int, k: int, t: int) -> int:
@@ -125,3 +133,27 @@ def frozen_table(values, dtype=np.int64) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+class LazySequence(Sequence):
+    """A read-only sequence whose items its ``_build`` makes, all at once, on the first read, then kept.
+
+    A subclass gives ``__len__``, so length and truthiness build nothing.
+    Equal to the list of its items; slicing and ``+`` give lists.
+    """
+
+    @cached_property
+    def _items(self) -> list:
+        return self._build()
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __add__(self, other):
+        return list(self) + list(other)

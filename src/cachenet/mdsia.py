@@ -23,14 +23,14 @@ locally with the same combinatorial structure.
 Everything but the payload bytes and the demand depends only on (H, r, t),
 so it is compiled once into a cached ``MdsiaGeometry`` of index tables,
 and so is the alignment plan. Placement keeps the coded library as one byte
-array and answers cache membership from the rule; multicasts and the
-peel-decode gather their pieces from that array.
+array and answers cache membership from the rule; a path's multicasts (a
+lazy ``Multicasts``) and the peel-decode gather their pieces from that array.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Set
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import frozen_table, lex_ranks, level, smallest_file_bits
+from .combinatorics import LazySequence, frozen_table, lex_ranks, level, smallest_file_bits
 from .errors import (
     AlignmentBreakdown,
     IndivisibleFileSize,
@@ -135,9 +135,6 @@ class MdsiaGeometry:
     slot_ue: np.ndarray = field(repr=False)
     slot_piece: np.ndarray = field(repr=False)
     slot_q: np.ndarray = field(repr=False)
-    # per slot and member: (UE, file, chunk, subset rank, part code) of its
-    # piece, with file and part left to the demand and the path (-1)
-    slot_label: np.ndarray = field(repr=False)
     # per UE and serving EN q: the EN, the UE's rank there, and the t-subsets holding that rank
     ue_ens: np.ndarray = field(repr=False)
     # per UE: the GF(2^8) inverse of its serving ENs' generator rows, (K, r, r)
@@ -191,8 +188,6 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
     slot_en = np.repeat(np.arange(1, h + 1), len(groups))
     slot_ue = served[slot_en[:, None] - 1, np.tile(members - 1, (h, 1))]
     slot_piece = np.tile(piece, (h, 1))
-    slot_label = np.full(slot_ue.shape + (5,), -1, dtype=np.int64)
-    slot_label[..., 0], slot_label[..., 2], slot_label[..., 3] = slot_ue, slot_en[:, None], slot_piece
     # per rank (0-based): the groups missing it, then the groups holding it
     outside = np.nonzero(~in_group[:, 1:].T)[1].reshape(top.l, -1)
     inside = np.nonzero(in_group[:, 1:].T)[1].reshape(top.l, -1)
@@ -211,7 +206,6 @@ def mdsia_geometry(h: int, r: int, t: int) -> MdsiaGeometry:
         slot_ue=frozen_table(slot_ue),
         slot_piece=frozen_table(slot_piece),
         slot_q=frozen_table(q_at[slot_ue, slot_en[:, None]]),
-        slot_label=frozen_table(slot_label),
         ue_ens=frozen_table(ue_ens),
         ue_decoder=frozen_table([decoder_rows(ens) for ens in top.ue_to_ens], np.uint8),
         ue_rank=frozen_table(ue_rank),
@@ -448,40 +442,55 @@ def mdsia_place(lib: Library, t: NetworkTopology, mu_r, mu_t) -> PlacementState:
 # ---------------------------------------------------------------------------
 
 
-def _multicast(demand, placement: PlacementState, t: NetworkTopology, path: str) -> list[MulticastMessage]:
-    demand = validate_demand(demand, t, placement.library.n_files)
+class Multicasts(LazySequence):
+    """The XOR multicasts of one delivery path: a lazy sequence over a geometry's message slots.
+
+    Slot s is message ``geometry.message_ids[s]`` with payload ``payloads[s]``;
+    its member j is UE ``slot_ue[s, j]`` with the piece (``demand[k - 1]``
+    for that UE k, the slot's EN, subset ``slot_piece[s, j]``, ``tag``). The
+    decode check, the interference matrices and the structural NDT read these arrays.
+    """
+
+    def __init__(self, geometry: MdsiaGeometry, payloads: np.ndarray, demand: np.ndarray, tag: str | None):
+        self.geometry, self.payloads, self.demand, self.tag = geometry, payloads, demand, tag
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def _build(self) -> list[MulticastMessage]:
+        g, tag, subsets = self.geometry, self.tag, self.geometry.subsets
+        files = self.demand[g.slot_ue - 1].tolist()
+        slots = zip(g.message_ids, map(bytes, self.payloads), g.slot_ue.tolist(), files, g.slot_piece.tolist())
+        return [
+            MulticastMessage(i, s, payload, tuple([(k, PieceLabel(n, i, subsets[p], tag)) for k, n, p in zip(*member)]))
+            for (i, s), payload, *member in slots
+        ]
+
+
+def _multicast(demand, placement: PlacementState, t: NetworkTopology, path: str) -> Multicasts:
+    demand = frozen_table(validate_demand(demand, t, placement.library.n_files))
     spec = next((s for s in placement.parts() if s[1] == path), None)
     g = placement.geometry
     if spec is None or not g.groups:
-        return []
-    tag = spec[0]
+        return Multicasts(g, np.zeros((0, 0), dtype=np.uint8), demand, None)
     # every member's piece in one gather, XORed over the members of each message
-    files = np.asarray(demand, dtype=np.int64)[g.slot_ue - 1]
-    payloads = np.bitwise_xor.reduce(placement.pieces(tag)[files - 1, g.slot_en[:, None] - 1, g.slot_piece], axis=1)
-    size = payloads.shape[-1]
-    blob = payloads.tobytes()
-    subsets = g.subsets
-    messages = []
-    for slot, ((i, s), ues, ns, pieces) in enumerate(
-        zip(g.message_ids, g.slot_ue.tolist(), files.tolist(), g.slot_piece.tolist())
-    ):
-        members = tuple([(k, PieceLabel(n, i, subsets[p], tag)) for k, n, p in zip(ues, ns, pieces)])
-        messages.append(MulticastMessage(i, s, blob[slot * size : (slot + 1) * size], members))
-    return messages
+    pieces = placement.pieces(spec[0])[demand[g.slot_ue - 1] - 1, g.slot_en[:, None] - 1, g.slot_piece]
+    return Multicasts(g, frozen_table(np.bitwise_xor.reduce(pieces, axis=1), np.uint8), demand, spec[0])
 
 
-def mdsia_fronthaul(demand, placement: PlacementState, t: NetworkTopology) -> list[MulticastMessage]:
+def mdsia_fronthaul(demand, placement: PlacementState, t: NetworkTopology) -> Multicasts:
     """Cloud-side XOR multicasts, one per EN per (t+1)-subset of ranks.
 
+    A lazy ``Multicasts``: one payload array, no label built until read.
     Empty when the EN share covers whole chunks (no cloud part) or when
     everything is cached (t = L). Repeated demand entries only warn.
     """
     return _multicast(demand, placement, t, "cloud")
 
 
-def mdsia_local_multicast(demand, placement: PlacementState, t: NetworkTopology) -> list[MulticastMessage]:
-    """EN-side XOR multicasts over the EN-resident chunk parts (empty when
-    the ENs cache nothing)."""
+def mdsia_local_multicast(demand, placement: PlacementState, t: NetworkTopology) -> Multicasts:
+    """EN-side XOR multicasts over the EN-resident chunk parts, as a lazy
+    ``Multicasts`` like ``mdsia_fronthaul``'s (empty when the ENs cache nothing)."""
     return _multicast(demand, placement, t, "local")
 
 
@@ -510,12 +519,13 @@ class InterferenceMatrix:
 
 
 def build_interference_matrices(t: NetworkTopology,
-                                messages: list[MulticastMessage]) -> dict[int, InterferenceMatrix]:
+                                messages: Sequence[MulticastMessage]) -> dict[int, InterferenceMatrix]:
     """Interference matrix for every UE, from a complete message set: the
     geometry's own (``MdsiaGeometry.interference``). Raises
     ``NonCanonicalInterference`` if the messages are not every multicast of one geometry."""
-    g = mdsia_geometry(t.h, t.r, len(messages[0].subset) - 1 if messages else t.l)
-    if len(messages) != len(g.slot_of) or {m.id for m in messages} != g.slot_of.keys():
+    batch = isinstance(messages, Multicasts)
+    g = mdsia_geometry(t.h, t.r, (messages.geometry.t if batch else len(messages[0].subset) - 1) if messages else t.l)
+    if len(messages) != len(g.slot_of) or not _slot_columns(messages, g, 0)[1].all():
         where = f"(H, r, t) = ({t.h}, {t.r}, {g.t})"
         raise NonCanonicalInterference(f"{len(messages)} messages are not the {len(g.slot_of)} multicasts of {where}")
     return dict(g.interference)
@@ -780,10 +790,10 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 class MdsiaDelivery(NamedTuple):
-    """Both multicast phases of one demand, with their certified alignment plan."""
+    """Both multicast phases of one demand (lazy ``Multicasts``), with their certified alignment plan."""
 
-    cloud: list[MulticastMessage]
-    local: list[MulticastMessage]
+    cloud: Multicasts
+    local: Multicasts
     mats: dict[int, InterferenceMatrix]
     plan: AlignmentPlan
 
@@ -815,8 +825,8 @@ def mdsia_deliver(demand, placement: PlacementState, t: NetworkTopology) -> Mdsi
 def mdsia_decode_check(
     demand,
     placement: PlacementState,
-    cloud_msgs: list[MulticastMessage],
-    local_msgs: list[MulticastMessage],
+    cloud_msgs: Sequence[MulticastMessage],
+    local_msgs: Sequence[MulticastMessage],
     t: NetworkTopology,
 ) -> list[RecoveryVerdict]:
     """Peel every relevant multicast with cached pieces and rebuild each file.
@@ -828,8 +838,9 @@ def mdsia_decode_check(
 
     The messages are checked as given: every member label is tested against
     the peeling UE's cache rule, and the pieces come from the members'
-    own labels. Failures are reported as a scan over UEs, serving ENs,
-    parts and subsets in order would first meet them.
+    own labels (a ``Multicasts`` of the placement's geometry: its arrays).
+    Failures are reported as a scan over UEs, serving ENs, parts and
+    subsets in order would first meet them.
 
     Raises
     ------
@@ -877,6 +888,33 @@ def _member_row(ue, label, subset_index) -> tuple[int, int, int, int, int]:
     return (ue, label.file, label.chunk, subset_index.get(label.subset, -1), _PART_CODE.get(label.part, -1))
 
 
+def _slot_columns(msgs, g: MdsiaGeometry, size: int):
+    """Per message slot of ``g``: its members, whether it is given, its payload length and its payload.
+
+    Members are five columns, (slots, members) or broadcastable to it: UE
+    (``_NO_MEMBER`` past the last member), file, chunk, subset rank and
+    part code; a payload not ``size`` bytes long reads as zeros. A
+    ``Multicasts`` over ``g`` is read from the geometry's slot tables and its
+    own arrays, any other list from its labels (-1 where one names nothing;
+    of two messages with one id, the last).
+    """
+    n_slots, ue = len(g.message_ids), g.slot_ue
+    if isinstance(msgs, Multicasts) and msgs.geometry is g and len(msgs) == n_slots:
+        members = (ue, msgs.demand[ue - 1], g.slot_en[:, None], g.slot_piece, np.full(ue.shape, _PART_CODE[msgs.tag]))
+        width = msgs.payloads.shape[1]
+        payload = msgs.payloads if width == size else np.zeros((n_slots, size), dtype=np.uint8)
+        return members, np.ones(n_slots, dtype=bool), np.full(n_slots, width), payload
+    by_id = {m.id: m for m in msgs}
+    found = [by_id.get(mid) for mid in g.message_ids]
+    rows = [[_member_row(k, lb, g.subset_index) for k, lb in m.members] if m else [] for m in found]
+    span, pad = max(map(len, rows), default=0), (_NO_MEMBER, -1, -1, -1, -1)
+    table = np.array([row + [pad] * (span - len(row)) for row in rows], dtype=np.int64).reshape(n_slots, span, 5)
+    plen = np.array([len(m.payload) if m else size for m in found], dtype=np.int64)
+    payload = b"".join(m.payload if m and len(m.payload) == size else bytes(size) for m in found)
+    given = np.array([m is not None for m in found], dtype=bool)
+    return tuple(table.transpose(2, 0, 1)), given, plen, np.frombuffer(payload, dtype=np.uint8).reshape(n_slots, size)
+
+
 def _peel_path(msgs, p: int, path: str, placement: PlacementState, want: np.ndarray, pieces: np.ndarray):
     """Peel the messages of one path into ``pieces``; return its first failure.
 
@@ -888,80 +926,59 @@ def _peel_path(msgs, p: int, path: str, placement: PlacementState, want: np.ndar
     exception)`` of the earliest failing peel, or None.
     """
     g, t = placement.geometry, placement.topology
-    n_slots = len(g.message_ids)
-    if not n_slots:
+    if not g.message_ids:
         return None
     tag, size = placement.parts()[p][0], pieces.shape[-1]
-    given = {m.id: m for m in msgs}
-    found = [given.get(mid) for mid in g.message_ids]
-    rows = [[_member_row(k, lb, g.subset_index) for k, lb in m.members] if m else [] for m in found]
-    span = max(map(len, rows))
-    if all(len(row) == span for row in rows):
-        table = np.array(rows, dtype=np.int64).reshape(n_slots, span, 5)
-    else:
-        table = np.full((n_slots, span, 5), -1, dtype=np.int64)
-        table[..., 0] = _NO_MEMBER
-        for slot, row in enumerate(rows):
-            if row:
-                table[slot, : len(row)] = row
-    m_ue, m_file, m_chunk, m_sub, m_part = table.transpose(2, 0, 1)  # (slots, span) each
-    plen = np.array([len(m.payload) if m else size for m in found], dtype=np.int64)
-    payload = np.frombuffer(
-        b"".join(m.payload if m and len(m.payload) == size else bytes(size) for m in found), dtype=np.uint8
-    ).reshape(n_slots, size)
+    columns, given, plen, payload = _slot_columns(msgs, g, size)
+    # arrays run over (member w, slot, peeler j): a member's own columns are (w, slot, 1)
+    m_ue, m_file, m_chunk, m_sub, m_part = (np.ascontiguousarray(c.T)[..., None] for c in columns)
 
     # per member: does its label name a piece of this placement, and where
     held, part_size, part_lo = (per_code[m_part] for per_code in placement._part_tables)
     real = held & (m_file >= 1) & (m_file <= placement.library.n_files) & (m_sub >= 0)
     real &= (m_chunk >= 1) & (m_chunk <= t.h)
-    # per (slot, peeler j, member w): the peeler's own member, which must
-    # carry its missing piece's label, or another one it must have cached
-    expect = np.array(g.slot_label)
-    expect[:, :, 1] = want[g.slot_ue - 1]
-    expect[:, :, 4] = _PART_CODE[tag]
-    same = table[:, None] == expect[:, :, None]
-    own = same[..., 0]
-    other = (m_ue != _NO_MEMBER)[:, None] & ~own
-    rank = g.rank_at[g.slot_ue[:, :, None], (m_chunk * real)[:, None, :]]
-    cached = real[:, None, :] & g.contains[rank, (m_sub * real)[:, None, :]]
-    cancels = cached & (part_size == plen[:, None])[:, None]
-    fails = (own & ~same[..., 1:].all(axis=3)) | (other & ~cancels)
+    # per (member, slot, peeler): the peeler's own member, which must carry
+    # its missing piece's label, or another one it must have cached
+    own = m_ue == g.slot_ue
+    wrong = (m_chunk != g.slot_en[:, None]) | (m_part != _PART_CODE[tag])
+    wrong = wrong | (m_file != want[g.slot_ue - 1]) | (m_sub != g.slot_piece)
+    other = (m_ue != _NO_MEMBER) & ~own
+    cached = real & g.contains[g.rank_at[g.slot_ue, m_chunk * real], m_sub * real]
+    cancels = cached & (part_size == plen[:, None])
+    fails = (own & wrong) | (other & ~cancels)
 
     # peel: the payload XOR every other member's piece, gathered by its own label
     fits = real & (part_size == size)
     lo = (part_lo + m_sub * part_size) * fits
-    files, chunks = (m_file - 1) * fits, (m_chunk - 1) * fits
-    got = placement._coded[files[..., None], chunks[..., None], lo[..., None] + np.arange(size)]
-    peeled = payload[:, None] ^ np.bitwise_xor.reduce(got[:, None] * other[..., None], axis=2)
+    got = placement._coded[(m_file - 1) * fits, (m_chunk - 1) * fits, lo + np.arange(size)]
+    peeled = payload[:, None] ^ np.bitwise_xor.reduce(got[:, :, None] * other[..., None], axis=0)
     pieces[g.slot_ue - 1, g.slot_q, g.slot_piece] = peeled
 
-    failed_member = fails.any(axis=2)
-    unaddressed = ~own.any(axis=2)
-    absent = np.array([m is None for m in found])
-    bad = failed_member | unaddressed | absent[:, None] | (plen != size)[:, None]
+    failed_member = fails.any(axis=0)
+    unaddressed = ~own.any(axis=0)
+    bad = failed_member | unaddressed | ~given[:, None] | (plen != size)[:, None]
     if not bad.any():
         return None
     scan = ((g.slot_ue - 1) * t.r + g.slot_q) * len(placement.parts()) + p
     pos = 2 * (scan * len(g.subsets) + g.slot_piece)
     slot, j = np.unravel_index(np.argmin(np.where(bad, pos, pos.max() + 1)), bad.shape)
-    k, msg = int(g.slot_ue[slot, j]), found[slot]
-    if msg is None:
-        i, s = g.message_ids[slot]
+    k, (i, s) = int(g.slot_ue[slot, j]), g.message_ids[slot]
+    if not given[slot]:
         error = PeelFailure(f"multicast ({i},{s}) absent on path {path}")
     elif failed_member[slot, j]:
-        w = int(np.argmax(fails[slot, j]))
-        label = msg.members[w][1]
-        if own[slot, j, w]:
-            missing = PieceLabel(int(want[k - 1]), msg.en, g.subsets[g.slot_piece[slot, j]], tag)
-            error = PeelFailure(f"multicast {msg.id} addresses UE {k} with {label}, not its missing piece {missing}")
-        elif not cached[slot, j, w]:
+        w = int(np.argmax(fails[:, slot, j]))
+        label = {m.id: m for m in msgs}[i, s].members[w][1]
+        if own[w, slot, j]:
+            missing = PieceLabel(int(want[k - 1]), i, g.subsets[g.slot_piece[slot, j]], tag)
+            error = PeelFailure(f"multicast {(i, s)} addresses UE {k} with {label}, not its missing piece {missing}")
+        elif not cached[w, slot, j]:
             error = PeelFailure(f"UE {k} cannot cancel {label} (not cached)")
         else:
-            error = LengthError(f"xor of unequal lengths {plen[slot]} != {part_size[slot, w]}")
+            error = LengthError(f"xor of unequal lengths {plen[slot]} != {part_size[w, slot, 0]}")
     elif unaddressed[slot, j]:
-        error = PeelFailure(f"UE {k} is not an addressee of multicast {msg.id}")
+        error = PeelFailure(f"UE {k} is not an addressee of multicast {(i, s)}")
     else:
-        error = LengthError(f"multicast {msg.id} carries {plen[slot]} bytes, its pieces {size}")
+        error = LengthError(f"multicast {(i, s)} carries {plen[slot]} bytes, its pieces {size}")
     return int(pos[slot, j]), error
 
 
@@ -1011,8 +1028,8 @@ def mdsia_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
 
 def mdsia_structural_ndt(
     placement: PlacementState,
-    cloud_msgs: list[MulticastMessage],
-    local_msgs: list[MulticastMessage],
+    cloud_msgs: Sequence[MulticastMessage],
+    local_msgs: Sequence[MulticastMessage],
     mats: dict[int, InterferenceMatrix],
     rho=None,
 ) -> NdtValue:
@@ -1021,33 +1038,29 @@ def mdsia_structural_ndt(
     Fronthaul: the per-EN cloud-message bit load (each EN has its own link)
     over F*rho. Edge: per delivery phase, the number of occupied receive
     dimensions at a UE (desired messages plus interference groups) times the
-    phase's message size over F.
+    phase's message size over F. Both count the geometry's message slots
+    the messages fill, as the decode check reads them; ``NonCanonicalInterference``
+    if an id repeats or is not the geometry's.
     """
-    t = placement.topology
+    t, g = placement.topology, placement.geometry
     f_bits = placement.library.file_size_bits
     i_rows = max((m.i_rows for m in mats.values()), default=0)
 
-    fronthaul = Fraction(0)
-    if cloud_msgs:
-        per_en: dict[int, int] = {}
-        for m in cloud_msgs:
-            per_en[m.en] = per_en.get(m.en, 0) + len(m.payload) * 8
-        peak = max(per_en.values())
-        assert len(set(per_en.values())) == 1, "uneven fronthaul loads"
-        rho = as_fraction(rho)
-        fronthaul = Fraction(peak, f_bits) / rho
-
-    edge = Fraction(0)
-    for msgs in (local_msgs, cloud_msgs):
+    fronthaul = edge = Fraction(0)
+    for msgs in (cloud_msgs, local_msgs):
         if not msgs:
             continue
-        desired = [0] * (t.k + 1)
-        for m in msgs:
-            for member_ue, _ in m.members:
-                desired[member_ue] += 1
-        subspaces = max(desired[1:]) + i_rows
-        assert len(set(desired[1:])) == 1, "uneven desired counts"
-        edge += Fraction(subspaces * len(msgs[0].payload) * 8, f_bits)
+        (ues, *_), given, plen, _ = _slot_columns(msgs, g, 0)
+        if given.sum() != len(msgs):  # an id repeats or is not the geometry's
+            raise NonCanonicalInterference(f"{len(msgs)} messages fill only {given.sum()} multicast slots")
+        if msgs is cloud_msgs:
+            per_en = np.bincount(g.slot_en[given], weights=plen[given], minlength=t.h + 1)[1:]
+            assert (per_en == per_en[0]).all(), "uneven fronthaul loads"
+            fronthaul = Fraction(int(per_en[0]) * 8, f_bits) / as_fraction(rho)
+        ues = ues[given]
+        desired = np.bincount(ues[(ues >= 1) & (ues <= t.k)], minlength=t.k + 1)[1:]
+        assert (desired == desired[0]).all(), "uneven desired counts"
+        edge += Fraction(int(desired[0] + i_rows) * int(plen[given][0]) * 8, f_bits)
 
     return NdtValue(
         total=fronthaul + edge, fronthaul=fronthaul, edge=edge,

@@ -40,7 +40,7 @@ from .channel import (
     ChannelMatrix,
     beamformers_for,
 )
-from .combinatorics import chunk_count, frozen_table, level, lex_ranks, smallest_file_bits
+from .combinatorics import LazySequence, chunk_count, frozen_table, level, lex_ranks, smallest_file_bits
 from .errors import (
     IndivisibleFileSize,
     InterferenceLeak,
@@ -449,14 +449,12 @@ def soft_missing(demand, placement: SoftPlacement) -> dict[int, tuple[SoftSubfil
 # ---------------------------------------------------------------------------
 
 
-class Schedule(Sequence):
+class Schedule(LazySequence):
     """The steps of one delivery: the geometry's steps, once per part, in layout order.
 
     Step ``p * S + s + 1`` sends part ``parts[p]`` along step s of the
-    geometry's S, each entry labelled with the file its UE demands. Read-only,
-    built in full on its first read and then kept; delivery and the structural
-    NDT read the geometry's step arrays instead. Equal to the list of its
-    steps; ``+`` gives a list.
+    geometry's S, each entry labelled with the file its UE demands. Delivery
+    and the structural NDT read the geometry's step arrays instead.
     """
 
     def __init__(self, geometry: DeliveryGeometry, parts, demand):
@@ -465,14 +463,7 @@ class Schedule(Sequence):
     def __len__(self) -> int:
         return len(self.parts) * len(self.geometry.step_pp)
 
-    def __getitem__(self, i):
-        return self._steps[i]
-
-    def __iter__(self):
-        return iter(self._steps)
-
-    @cached_property
-    def _steps(self) -> list[DeliveryStep]:
+    def _build(self) -> list[DeliveryStep]:
         g, files, steps = self.geometry, self.demand, []
         rows = list(zip(*(a.tolist() for a in (g.step_pp, g.step_ue, g.step_subset, g.step_pi))))
         for part in self.parts:
@@ -483,12 +474,6 @@ class Schedule(Sequence):
                 ]
                 steps.append(DeliveryStep(len(steps) + 1, g.case, part, tuple(zip(ues, labels)), pi_prime))
         return steps
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    def __add__(self, other):
-        return list(self) + other
 
 
 def soft_schedule(demand, placement: SoftPlacement, t: NetworkTopology) -> Schedule:

@@ -74,7 +74,7 @@ def test_run_soft_listing_builds_no_step(capsys, monkeypatch, mu_r, listing):
     def refuse(self):
         raise AssertionError("the soft run built its schedule's steps")
 
-    monkeypatch.setattr(Schedule, "_steps", property(refuse))
+    monkeypatch.setattr(Schedule, "_build", refuse)
     code = main(["run", "--h", "4", "--r", "2", "--mu-r", mu_r, "--scheme", "soft"])
     out = capsys.readouterr().out
     assert code == 0

@@ -353,6 +353,10 @@ def test_alignment_refuses_matrices_that_are_not_the_geometrys():
             call()
     with pytest.raises(NonCanonicalInterference, match=r"^29 messages are not the 30 multicasts of \(H, r, t\)"):
         cn.build_interference_matrices(t, cloud[1:])
+    # as many messages as the geometry has, but one repeated or foreign in place of another
+    for msgs in (cloud[:1] + cloud[:-1], [m for m in cloud if m.en != 5] + [dataclasses.replace(cloud[0], en=6)] * 6):
+        with pytest.raises(NonCanonicalInterference, match=r"^30 messages are not the 30 multicasts of \(H, r, t\)"):
+            cn.build_interference_matrices(t, msgs)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +535,16 @@ def assert_matches_oracle(pl, demand, cloud, local):
     for lb in ue_caches[1]:
         assert pl.piece_payload(lb) == piece(lb)
     for got, want in ((cloud, cloud_o), (local, local_o)):
-        assert [(m.en, m.subset, m.payload, m.members) for m in got] == want
+        assert isinstance(got, mdsia.Multicasts) and len(got) == len(want) and bool(got) == bool(want)
+        messages = list(got)
+        assert [(m.en, m.subset, m.payload, m.members) for m in messages] == want
+        # built once and kept; equal to the list of its messages, whose slices and sums are lists
+        assert all(a is b for a, b in zip(got, messages)) and [got[i] for i in range(len(got))] == messages
+        assert got == messages and messages == got and got != messages + [None]
+        for part in (got[1:], got[::-1], got + [], got + got):
+            assert type(part) is list
+        assert got[1:] == messages[1:] and got[::-1] == messages[::-1] and got + got == messages * 2
+    assert cloud + local == [*cloud, *local]
 
 
 @pytest.mark.parametrize("h,r,t_e,mu_t", ORACLE_POINTS)
@@ -587,6 +600,104 @@ def test_placement_memory_holds_no_labels():
         tracemalloc.stop()
     assert len(pl.ue_caches[1]) == 2 * comb(10, 3) * t.k
     assert peak < 10 * 10**6
+
+
+# ---------------------------------------------------------------------------
+# multicasts as a lazy sequence over the geometry's message slots
+# ---------------------------------------------------------------------------
+
+#: the mdsia points of the criterion-5 lattice, as (H, r, t)
+LATTICE_POINTS = [(h, r, t_e) for h, r, t_e, mu_t in ORACLE_POINTS if mu_t == 0 and h <= 5]
+
+
+def test_mdsia_delivery_decode_and_recount_build_no_label(monkeypatch):
+    points = [(10, 2, 3, Fraction(1, 4)), (5, 2, 1, Fraction(0))]
+    prepared = []
+    for h, r, t_e, mu_t in points:
+        t = cn.build_topology(h, r)
+        lib = cn.random_library(t.k, cn.minimal_file_bits(t, t_e, mu_t), seed=t_e)
+        prepared.append((t, cn.mdsia_place(lib, t, Fraction(t_e, t.l), mu_t), mu_t))
+    assert [tag for tag, _, _ in prepared[0][1].parts()] == ["en", "cloud"]  # both paths carry a part
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delivery built a label or a message")
+
+    monkeypatch.setattr(mdsia, "PieceLabel", refuse)
+    monkeypatch.setattr(mdsia, "MulticastMessage", refuse)
+    deliveries = []
+    for t, pl, mu_t in prepared:
+        demand = list(range(t.k, 0, -1))
+        delivery = mdsia.mdsia_deliver(demand, pl, t)
+        cloud, local = delivery.cloud, delivery.local
+        n_messages = t.h * comb(t.l, pl.t_e + 1)
+        assert len(cloud) == n_messages and (cloud or local) is cloud
+        assert len(local) == (n_messages if mu_t else 0) and (local or cloud) is (local if mu_t else cloud)
+        verdicts = cn.mdsia_decode_check(demand, pl, cloud, local, t)
+        assert [v.file_id for v in verdicts] == demand and all(v.ok for v in verdicts)
+        counted = cn.mdsia_structural_ndt(pl, cloud, local, delivery.mats, rho=2)
+        closed = cn.mdsia_ndt(t.h, t.r, pl.mu_r, mu_t, 2)
+        assert (counted.total, counted.fronthaul, counted.edge) == (closed.total, closed.fronthaul, closed.edge)
+        deliveries.append((pl, demand, delivery))
+    monkeypatch.undo()
+    for pl, demand, delivery in deliveries:  # what was not built is still the oracle's
+        _, _, cloud_o, local_o, _ = mdsia_by_labels(pl, demand)
+        assert [(m.en, m.subset, m.payload, m.members) for m in delivery.cloud + delivery.local] == cloud_o + local_o
+
+
+def _outcome(call):
+    # what a check returns, or the class and message of what it raises
+    try:
+        return call()
+    except (PeelFailure, LengthError, ReconstructionMismatch, NonCanonicalInterference, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+#: the lattice, a split of unequal part sizes and the large split point
+ALIKE_POINTS = [(h, r, t_e, 0) for h, r, t_e in LATTICE_POINTS] + [(5, 2, 1, Fraction(3, 10)),
+                                                                  (10, 2, 3, Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("h,r,t_e,mu_t", ALIKE_POINTS)
+def test_batches_and_their_message_lists_check_alike(h, r, t_e, mu_t):
+    t, lib, pl, demand, cloud, local, mats, _ = make_pipeline(h, r, Fraction(t_e, comb(h - 1, r - 1)), mu_t)
+    other_pl = cn.mdsia_place(cn.random_library(t.k, lib.file_size_bits, seed=99), t, pl.mu_r, mu_t)
+    shifted = demand[1:] + demand[:1]
+    # the placement's own batches, then batches of another demand, of another
+    # library and of the other path, each against the lists of their messages
+    cases = [
+        (cloud, local),
+        (cn.mdsia_fronthaul(shifted, pl, t), cn.mdsia_local_multicast(shifted, pl, t)),
+        (cn.mdsia_fronthaul(demand, other_pl, t), cn.mdsia_local_multicast(demand, other_pl, t)),
+        (local, cloud),
+    ]
+    checks = (
+        lambda c, l: cn.mdsia_decode_check(demand, pl, c, l, t),
+        lambda c, l: cn.mdsia_structural_ndt(pl, c, l, mats, rho=1),
+        lambda c, l: cn.build_interference_matrices(t, c or l),
+    )
+    assert all(v.ok for v in cn.mdsia_decode_check(demand, pl, cloud, local, t))
+    for c, l in cases:
+        for check in checks:
+            assert _outcome(lambda: check(c, l)) == _outcome(lambda: check(list(c), list(l)))
+
+
+def test_a_batch_of_another_geometry_is_read_through_its_labels():
+    # (5, 2) and (5, 4) both have L = 4 ranks per EN, so at one level their
+    # multicasts carry the same ids; the (5, 4) batch's members are other UEs
+    # past EN 1, and its payloads come from another library
+    t, lib, pl, demand, cloud, local, mats, _ = make_pipeline(5, 2, Fraction(2, 4), 0)
+    t4 = cn.build_topology(5, 4)
+    pl4 = cn.mdsia_place(cn.random_library(t4.k, cn.minimal_file_bits(t4, 2, 0), seed=3), t4, Fraction(2, 4), 0)
+    foreign = cn.mdsia_fronthaul(list(range(1, t4.k + 1)), pl4, t4)
+    assert [m.id for m in foreign] == [m.id for m in cloud]
+    for check in (
+        lambda msgs: cn.mdsia_decode_check(demand, pl, msgs, local, t),
+        lambda msgs: cn.build_interference_matrices(t, msgs),
+    ):
+        got = _outcome(lambda: check(foreign))
+        assert got == _outcome(lambda: check(list(foreign)))
+    with pytest.raises(ReconstructionMismatch, match=r"^UE 1 rebuilt file 1 incorrectly$"):
+        cn.mdsia_decode_check(demand, pl, foreign, local, t)
 
 
 # ---------------------------------------------------------------------------
@@ -647,3 +758,12 @@ def test_structural_ndt_matches_closed_form(h, r, t_e, mu_t):
     assert structural.total == closed.total
     assert structural.fronthaul == closed.fronthaul
     assert structural.edge == closed.edge
+
+
+def test_structural_ndt_refuses_a_repeated_or_foreign_message():
+    # counted per slot, a repeat would vanish and a foreign message go uncounted
+    t, lib, pl, demand, cloud, local, mats, plan = make_pipeline(5, 2, Fraction(1, 4), Fraction(3, 10))
+    foreign = dataclasses.replace(local[0], en=6)
+    for c, l in ((cloud + cloud[:1], local), (cloud, local + [foreign])):
+        with pytest.raises(NonCanonicalInterference, match=r"^31 messages fill only 30 multicast slots$"):
+            cn.mdsia_structural_ndt(pl, c, l, mats, rho=1)
