@@ -78,7 +78,7 @@ CSV_HEADER = (
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -230,21 +230,14 @@ def sweep_rows(h: int, r: int, mu_t, mu_rs, rhos) -> list[str]:
     grid = [(h, r, mu_r, mu_t, rho) for mu_r in sorted(mu_rs) for rho in sorted(rhos)]
     lines = []
     for row in compare_schemes(grid):
-        for scheme in SCHEMES:
-            value = row.values[scheme]
-            prefix = [str(h), str(r), cell(row.mu_r), cell(row.mu_t), cell(row.rho), scheme]
+        prefix = f"{h},{r},{cell(row.mu_r)},{cell(row.mu_t)},{cell(row.rho)}"
+        for scheme, value in row.values.items():
             if value is None:
-                lines.append(",".join(prefix + ["n/a"] * 6 + ["0"]))
+                lines.append(f"{prefix},{scheme},n/a,n/a,n/a,n/a,n/a,n/a,0")
                 continue
             s = value.sharing
-            lines.append(
-                ",".join(
-                    prefix
-                    + [cell(value.total), cell(value.fronthaul), cell(value.edge)]
-                    + [frac_str(s.alpha), str(s.param_lo), str(s.param_hi)]
-                    + ["1" if row.argmin == scheme else "0"]
-                )
-            )
+            lines.append(f"{prefix},{scheme},{cell(value.total)},{cell(value.fronthaul)},{cell(value.edge)},"
+                         f"{frac_str(s.alpha)},{s.param_lo},{s.param_hi},{int(row.argmin == scheme)}")
     return lines
 
 

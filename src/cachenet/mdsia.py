@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .mdscode import Library, decoder_rows, generator_rows, gf_matmul
-from .ndt import NdtValue, as_fraction
+from .ndt import NdtValue, as_fraction, at_rho
 from .topology import NetworkTopology, build_topology, validate_demand
 from .verdict import RecoveryVerdict
 
@@ -993,7 +993,7 @@ def mdsia_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
     Exact rationals throughout: with L = C(h-1, r-1), t = mu_r * L integral,
     the edge part is ((L-t)/r) * ((r-1)/L + 1/(t+1)) and the fronthaul part
     is ((L-t)/r) * (1/(t+1)) * max(0, 1 - mu_t*r)/rho. ``rho`` may be None
-    when the EN share makes the fronthaul term vanish.
+    when the fronthaul term vanishes (``ndt.at_rho``).
 
     Raises
     ------
@@ -1012,18 +1012,9 @@ def mdsia_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
     clamp = max(Fraction(0), 1 - mu_t * r)
     scale = Fraction(l - t_e, r)
     edge = scale * (Fraction(r - 1, l) + Fraction(1, t_e + 1))
-    if clamp == 0 or scale == 0:
-        fronthaul = Fraction(0)
-    else:
-        rho = as_fraction(rho)
-        if rho <= 0:
-            raise OutOfRange("rho must be positive when the fronthaul is used")
-        fronthaul = scale * Fraction(1, t_e + 1) * clamp / rho
+    fronthaul = scale * Fraction(1, t_e + 1) * clamp  # at rho = 1
     branch = "edge-only" if clamp == 0 else ("hybrid" if mu_t > 0 else "cloud-only")
-    return NdtValue(
-        total=fronthaul + edge, fronthaul=fronthaul, edge=edge,
-        scheme="mdsia", branch=branch,
-    )
+    return at_rho(NdtValue(fronthaul + edge, fronthaul, edge, scheme="mdsia", branch=branch), rho)
 
 
 def mdsia_structural_ndt(
@@ -1056,13 +1047,9 @@ def mdsia_structural_ndt(
         if msgs is cloud_msgs:
             per_en = np.bincount(g.slot_en[given], weights=plen[given], minlength=t.h + 1)[1:]
             assert (per_en == per_en[0]).all(), "uneven fronthaul loads"
-            fronthaul = Fraction(int(per_en[0]) * 8, f_bits) / as_fraction(rho)
+            fronthaul = Fraction(int(per_en[0]) * 8, f_bits)  # at rho = 1
         ues = ues[given]
         desired = np.bincount(ues[(ues >= 1) & (ues <= t.k)], minlength=t.k + 1)[1:]
         assert (desired == desired[0]).all(), "uneven desired counts"
         edge += Fraction(int(desired[0] + i_rows) * int(plen[given][0]) * 8, f_bits)
-
-    return NdtValue(
-        total=fronthaul + edge, fronthaul=fronthaul, edge=edge,
-        scheme="mdsia", branch="structural",
-    )
+    return at_rho(NdtValue(fronthaul + edge, fronthaul, edge, scheme="mdsia", branch="structural"), rho)

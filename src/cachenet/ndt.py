@@ -8,6 +8,11 @@ modules build on it, and the all-scheme consumers (grid comparison, the
 fronthaul-quality threshold, convexity) live next to the registry in
 ``schemes``. No floats enter any computation; decimals appear only when a
 caller renders values.
+
+Every NDT is affine in 1/rho, delta = edge + fronthaul/rho, and memory
+sharing mixes corner points with a weight free of rho: a value at rho = 1
+gives every rho by scaling its fronthaul part (``at_rho``, the one place rho
+is checked). Grid comparison evaluates each cache point once, at rho = 1.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .combinatorics import fractional_level, level_mu
+from .errors import OutOfRange
 
 #: schemes that never touch the fronthaul by construction
 FRONTHAUL_FREE = frozenset({"zf"})
@@ -71,6 +77,20 @@ class NdtValue:
     def __post_init__(self) -> None:
         assert self.total == self.fronthaul + self.edge, "decomposition broken"
         assert self.fronthaul >= 0 and self.edge >= 0, "negative component"
+
+
+def at_rho(value: NdtValue, rho) -> NdtValue:
+    """``value``, computed at rho = 1, at fronthaul quality ``rho``: only the fronthaul
+    part scales, by 1/rho. A value without one comes back unchanged for any rho;
+    otherwise a missing or non-positive rho raises ``OutOfRange``."""
+    if not value.fronthaul:
+        return value
+    if rho is None or (rho := as_fraction(rho)) <= 0:
+        raise OutOfRange(f"scheme {value.scheme} uses the fronthaul, so rho must be positive, got {rho}")
+    if rho == 1:
+        return value
+    fronthaul = value.fronthaul / rho
+    return replace(value, total=value.edge + fronthaul, fronthaul=fronthaul)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .combinatorics import level
 from .errors import RegionViolation, UnsupportedRegime
 from .mdsia import mdsia_decode_check, mdsia_deliver, mdsia_ndt, mdsia_place, mdsia_structural_ndt
 from .mdsia import minimal_file_bits
-from .ndt import FRONTHAUL_FREE, NdtValue, argmin_key, as_fraction, memory_share
+from .ndt import FRONTHAUL_FREE, NdtValue, argmin_key, as_fraction, at_rho, memory_share
 from .soft_transfer import minimal_soft_file_bits, soft_ndt, soft_place, soft_schedule, soft_simulate
 from .soft_transfer import soft_structural_ndt
 from .topology import build_topology
@@ -89,9 +90,9 @@ shared_zf_ndt = SCHEMES["zf"].shared_ndt
 def rho_threshold(h: int, r: int, mu_r, mu_t) -> Fraction | None:
     """Fronthaul quality below which cloud-free delivery wins.
 
-    The memory-shared coded-multicast value is affine in 1/rho: B/rho + E
-    with B its fronthaul coefficient and E its edge part. The cloud-free
-    value Z is rho-independent, so the two cross at B/(Z - E) exactly.
+    The memory-shared coded-multicast value is B/rho + E, with B and E the
+    fronthaul and edge parts of its value at rho = 1 (``ndt.at_rho``). The
+    cloud-free value Z is rho-independent, so the two cross at B/(Z - E).
 
     Returns 0 when B = 0 (the EN share already silences the fronthaul, per
     the clamp), and None when Z <= E with B > 0 (the coded-multicast value
@@ -106,11 +107,11 @@ def rho_threshold(h: int, r: int, mu_r, mu_t) -> Fraction | None:
     mu_t = as_fraction(mu_t)
     if mu_r + mu_t < 1:
         raise RegionViolation("threshold defined on the cloud-free region only")
-    at_unit_rho = shared_mdsia_ndt(h, r, mu_r, mu_t, Fraction(1))
+    at_unit_rho = shared_mdsia_ndt(h, r, mu_r, mu_t, 1)
     b, e = at_unit_rho.fronthaul, at_unit_rho.edge
     if b == 0:
         return Fraction(0)
-    z = shared_zf_ndt(h, r, mu_r, mu_t).total
+    z = shared_zf_ndt(h, r, mu_r, mu_t, 1).total
     if z <= e:
         return None
     return b / (z - e)
@@ -137,26 +138,33 @@ class ComparisonRow:
 def compare_schemes(grid) -> list[ComparisonRow]:
     """Evaluate every scheme at every (h, r, mu_r, mu_t, rho) grid point.
 
+    Every NDT is affine in 1/rho, so each distinct cache point (h, r, mu_r,
+    mu_t) is evaluated once, at rho = 1, and scaled to each of its rows' rho
+    (``ndt.at_rho``); the grid may come in any order and repeat points.
     Inapplicable regimes become None entries rather than failures. The
     argmin is deterministic: smallest total, ties broken toward values that
     used no fronthaul, then toward structurally fronthaul-free schemes, then
     lexicographically.
     """
+    at_unit_rho: dict[tuple, dict[str, NdtValue | None]] = {}
     rows = []
     for h, r, mu_r, mu_t, rho in grid:
         mu_r, mu_t, rho = as_fraction(mu_r), as_fraction(mu_t), as_fraction(rho)
-        values: dict[str, NdtValue | None] = {}
-        for name, scheme in SCHEMES.items():
-            try:
-                values[name] = scheme.shared_ndt(h, r, mu_r, mu_t, rho)
-            except (RegionViolation, UnsupportedRegime):
-                values[name] = None
-        applicable = {s: v for s, v in values.items() if v is not None}
-        best = min(applicable, key=lambda s: argmin_key(s, applicable[s]))
-        rows.append(
-            ComparisonRow(h=h, r=r, mu_r=mu_r, mu_t=mu_t, rho=rho, values=values, argmin=best)
-        )
+        point = (h, r, mu_r, mu_t)
+        if point not in at_unit_rho:
+            at_unit_rho[point] = {name: _unless_outside(s.shared_ndt, *point, 1) for name, s in SCHEMES.items()}
+        values = {s: None if v is None else at_rho(v, rho) for s, v in at_unit_rho[point].items()}
+        best = min((s for s, v in values.items() if v is not None), key=lambda s: argmin_key(s, values[s]))
+        rows.append(ComparisonRow(h=h, r=r, mu_r=mu_r, mu_t=mu_t, rho=rho, values=values, argmin=best))
     return rows
+
+
+def _unless_outside(shared_ndt, *args) -> NdtValue | None:
+    """``shared_ndt(*args)``, or None where the scheme's regime does not cover the point."""
+    try:
+        return shared_ndt(*args)
+    except (RegionViolation, UnsupportedRegime):
+        return None
 
 
 @dataclass(frozen=True)
@@ -174,21 +182,25 @@ def convexity_check(scheme: str, mu_t, rho, mu_r_grid, *, h: int, r: int) -> Con
     """Verify delta((a+b)/2) <= (delta(a)+delta(b))/2 for every grid pair.
 
     All arithmetic is exact; pairs whose endpoints or midpoint fall outside
-    the scheme's region are reported as skipped, not violated.
+    the scheme's region are reported as skipped, not violated. Each grid
+    point and each distinct midpoint is evaluated once.
     """
     pts = sorted(as_fraction(m) for m in mu_r_grid)
+
+    @cache  # for this call only
+    def total(mu_r) -> Fraction | None:  # None outside the scheme's region
+        value = _unless_outside(shared_scheme_ndt, scheme, h, r, mu_r, mu_t, rho)
+        return None if value is None else value.total
+
     violations = []
     skipped = []
     checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            a, b = pts[i], pts[j]
-            mid = (a + b) / 2
-            try:
-                fa = shared_scheme_ndt(scheme, h, r, a, mu_t, rho).total
-                fb = shared_scheme_ndt(scheme, h, r, b, mu_t, rho).total
-                fm = shared_scheme_ndt(scheme, h, r, mid, mu_t, rho).total
-            except (RegionViolation, UnsupportedRegime):
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            fa = total(a)
+            fb = None if fa is None else total(b)
+            fm = None if fb is None else total((a + b) / 2)
+            if fm is None:
                 skipped.append((a, b))
                 continue
             checked += 1

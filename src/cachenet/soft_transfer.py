@@ -48,7 +48,7 @@ from .errors import (
     ReconstructionMismatch,
 )
 from .mdscode import Library
-from .ndt import NdtValue, as_fraction
+from .ndt import NdtValue, as_fraction, at_rho
 from .topology import NetworkTopology, validate_demand
 from .verdict import RecoveryVerdict
 
@@ -812,29 +812,18 @@ def soft_ndt(h: int, r: int, mu_r, mu_t, rho=None) -> NdtValue:
 
     delta = (K - t_U) * [1/min(H + t_U, K) + (1 - mu_T)/(H*rho)], split into
     the edge term and the fronthaul term. ``rho`` may be omitted only when
-    the fronthaul coefficient vanishes (mu_T = 1 or t_U = K).
+    the fronthaul coefficient vanishes (mu_T = 1 or t_U = K; ``ndt.at_rho``).
     """
     mu_r, mu_t = as_fraction(mu_r), as_fraction(mu_t)
     t_u = level("K", h, r, mu_r, mu_t)
     k = comb(h, r)
 
     edge = Fraction(k - t_u, min(h + t_u, k))
-    fronthaul_per_rho = (1 - mu_t) * Fraction(k - t_u, h)
-    if fronthaul_per_rho == 0:
-        fronthaul = Fraction(0)
-    else:
-        if rho is None:
-            raise OutOfRange("rho required: the fronthaul term is nonzero")
-        rho = as_fraction(rho)
-        if rho <= 0:
-            raise OutOfRange(f"rho must be positive, got {rho}")
-        fronthaul = fronthaul_per_rho / rho
+    fronthaul = (1 - mu_t) * Fraction(k - t_u, h)  # at rho = 1
     branch = CASE_ONE_SHOT if t_u >= k - h else CASE_CHUNKED
     if t_u == k:
         branch = "empty"
-    return NdtValue(
-        total=edge + fronthaul, fronthaul=fronthaul, edge=edge, scheme="soft", branch=branch
-    )
+    return at_rho(NdtValue(edge + fronthaul, fronthaul, edge, scheme="soft", branch=branch), rho)
 
 
 def soft_structural_ndt(schedule: Sequence[DeliveryStep], placement: SoftPlacement, rho=None) -> NdtValue:
@@ -863,6 +852,5 @@ def soft_structural_ndt(schedule: Sequence[DeliveryStep], placement: SoftPlaceme
             cloud_bits += bits * size
     per_en = Fraction(cloud_bits, placement.topology.h)
     assert per_en == soft_fronthaul_bits_per_en(placement)
-    fronthaul = per_en / (f_bits * as_fraction(rho)) if per_en else Fraction(0)
-    edge = Fraction(edge_bits, f_bits)
-    return NdtValue(total=edge + fronthaul, fronthaul=fronthaul, edge=edge, scheme="soft", branch="structural")
+    fronthaul, edge = per_en / f_bits, Fraction(edge_bits, f_bits)  # at rho = 1
+    return at_rho(NdtValue(edge + fronthaul, fronthaul, edge, scheme="soft", branch="structural"), rho)

@@ -23,6 +23,8 @@ from cachenet.mdsia import (
     MessageId,
     UeAlignmentChecks,
 )
+from cachenet.ndt import argmin_key
+from cachenet.schemes import SCHEMES, ComparisonRow, ConvexityReport
 from cachenet.soft_transfer import DeliveryStep
 from cachenet.topology import NetworkTopology, index
 
@@ -232,6 +234,47 @@ def rho_threshold_remark_form(h: int, r: int, mu_r, mu_t) -> Fraction:
         - delta1 * (1 / alpha - 1) * ((r - 1) * (mu1 + Fraction(1, l)) + 1)
     )
     return numerator / denominator
+
+
+def compare_schemes_per_rho(grid) -> list:
+    """``compare_schemes`` as one memory-shared evaluation per scheme and
+    grid row, each at the row's own rho: no point is evaluated once and scaled."""
+    rows = []
+    for h, r, mu_r, mu_t, rho in grid:
+        mu_r, mu_t, rho = cn.as_fraction(mu_r), cn.as_fraction(mu_t), cn.as_fraction(rho)
+        values = {}
+        for name, scheme in SCHEMES.items():
+            try:
+                values[name] = scheme.shared_ndt(h, r, mu_r, mu_t, rho)
+            except (RegionViolation, UnsupportedRegime):
+                values[name] = None
+        applicable = {s: v for s, v in values.items() if v is not None}
+        best = min(applicable, key=lambda s: argmin_key(s, applicable[s]))
+        rows.append(ComparisonRow(h=h, r=r, mu_r=mu_r, mu_t=mu_t, rho=rho, values=values, argmin=best))
+    return rows
+
+
+def convexity_check_per_pair(scheme: str, mu_t, rho, mu_r_grid, *, h: int, r: int):
+    """``convexity_check`` evaluating both endpoints and the midpoint afresh for every pair."""
+    pts = sorted(cn.as_fraction(m) for m in mu_r_grid)
+    violations, skipped, checked = [], [], 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            a, b = pts[i], pts[j]
+            try:
+                fa = cn.shared_scheme_ndt(scheme, h, r, a, mu_t, rho).total
+                fb = cn.shared_scheme_ndt(scheme, h, r, b, mu_t, rho).total
+                fm = cn.shared_scheme_ndt(scheme, h, r, (a + b) / 2, mu_t, rho).total
+            except (RegionViolation, UnsupportedRegime):
+                skipped.append((a, b))
+                continue
+            checked += 1
+            if fm > (fa + fb) / 2:
+                violations.append((a, b))
+    return ConvexityReport(
+        scheme=scheme, ok=not violations, checked_pairs=checked,
+        violations=tuple(violations), skipped_pairs=tuple(skipped),
+    )
 
 
 def assemble_by_labels(ue: int, want: int, placement, delivered: dict) -> bytes:

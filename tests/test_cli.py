@@ -1,5 +1,6 @@
 """Tests for the command-line front end: run, sweep, fixtures, exit codes."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,8 @@ from cachenet.cli import CSV_HEADER, cell, frac_str, main, parse_cell
 from cachenet.fixtures import all_fixtures
 from cachenet.schemes import SCHEMES
 from cachenet.soft_transfer import Schedule
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,38 @@ def test_sweep_stdout_layout(capsys):
         fields = line.split(",")
         by_point.setdefault((fields[2], fields[4]), []).append(fields[-1])
     assert all(flags.count("1") == 1 for flags in by_point.values())
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["sweep", "--h", "5", "--r", "2", "--mu-r-grid", "0:1:1/20", "--rhos", "1/20,1,20"], "sweep_h5_r2.stdout"),
+    (["run", "--h", "5", "--r", "2", "--mu-r", "1/10", "--scheme", "all", "--rho", "1"], "run_all_h5_r2.stdout"),
+])
+def test_stdout_matches_golden_copy(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("argv,scheme", [
+    (["--h", "5", "--r", "2", "--rhos", "0"], "mdsia"),
+    (["--h", "5", "--r", "2", "--rhos", "-1"], "mdsia"),
+    # mdsia is n/a there, so the first scheme in registry order with a fronthaul part
+    (["--h", "6", "--r", "3", "--mu-r-list", "0.1", "--rhos", "0"], "soft"),
+])
+def test_sweep_rejects_non_positive_rho(argv, scheme, capsys):
+    assert main(["sweep", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(r"scheme (\w+) uses the fronthaul", err).group(1) == scheme
+
+
+def test_sweep_takes_rho_zero_where_no_fronthaul_is_used(capsys):
+    assert main(["sweep", "--h", "6", "--r", "3", "--mu-t", "1", "--mu-r-list", "0.1", "--rhos", "0"]) == 0
+    assert capsys.readouterr().out == "\n".join([
+        CSV_HEADER,
+        "6,3,1/10|0.1,1|1.0,0|0.0,mdsia,n/a,n/a,n/a,n/a,n/a,n/a,0",
+        "6,3,1/10|0.1,1|1.0,0|0.0,soft,9/4|2.25,0|0.0,9/4|2.25,1,2,2,0",
+        "6,3,1/10|0.1,1|1.0,0|0.0,zf,9/4|2.25,0|0.0,9/4|2.25,1,2,2,1",
+    ]) + "\n"
 
 
 def test_sweep_default_grid_size(capsys):

@@ -758,6 +758,12 @@ def test_structural_ndt_matches_closed_form(h, r, t_e, mu_t):
     assert structural.total == closed.total
     assert structural.fronthaul == closed.fronthaul
     assert structural.edge == closed.edge
+    for bad in (0, -1):  # the closed form's rho check, which a value without fronthaul skips
+        if closed.fronthaul:
+            with pytest.raises(OutOfRange, match="^scheme mdsia uses the fronthaul"):
+                cn.mdsia_structural_ndt(pl, cloud, local, mats, rho=bad)
+        else:
+            assert cn.mdsia_structural_ndt(pl, cloud, local, mats, rho=bad) == structural
 
 
 def test_structural_ndt_refuses_a_repeated_or_foreign_message():

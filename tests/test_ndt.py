@@ -1,15 +1,24 @@
 """Tests for the exact delivery-time algebra: sharing, thresholds, comparison."""
 
+import random
+import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, zip_longest
+from math import comb
 
 import pytest
 
 import cachenet as cn
-from cachenet.errors import RegionViolation
-from cachenet.ndt import FRONTHAUL_FREE, argmin_key, memory_share
+from cachenet import schemes
+from cachenet.combinatorics import level_mu
+from cachenet.errors import OutOfRange, RegionViolation
+from cachenet.ndt import FRONTHAUL_FREE, argmin_key, at_rho, memory_share
 
-from oracles import FROZEN, rho_threshold_remark_form
+from oracles import FROZEN, compare_schemes_per_rho, convexity_check_per_pair, rho_threshold_remark_form
+
+RHOS = [Fraction(1, 20), Fraction(1, 4), Fraction(1), Fraction(4), Fraction(20)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +111,29 @@ def test_sharing_soft_curve():
     assert mid.sharing.alpha == Fraction(1, 2)
 
 
+def test_at_rho_scales_only_the_fronthaul():
+    for args in [(5, 2, Fraction(1, 10), 0), (5, 2, Fraction(2, 5), Fraction(1, 10)), (7, 3, Fraction(9, 10), 0)]:
+        unit = cn.shared_mdsia_ndt(*args, 1)
+        assert unit.fronthaul and unit.sharing.alpha != 1
+        for rho in RHOS:
+            assert at_rho(unit, rho) == cn.shared_mdsia_ndt(*args, rho)
+            assert at_rho(cn.shared_soft_ndt(*args, 1), rho) == cn.shared_soft_ndt(*args, rho)
+
+
+def test_at_rho_checks_rho_only_where_the_fronthaul_is_used():
+    free = cn.shared_soft_ndt(6, 3, Fraction(1, 10), 1, 1)  # mu_t = 1: no fronthaul
+    used = cn.shared_mdsia_ndt(5, 2, Fraction(1, 4), 0, 1)
+    for rho in (0, -1, None):
+        assert at_rho(free, rho) is free
+        with pytest.raises(OutOfRange, match=rf"^scheme mdsia uses the fronthaul, so rho must be positive, got {rho}$"):
+            at_rho(used, rho)
+    # both closed forms check rho there, with the one message
+    with pytest.raises(OutOfRange, match="^scheme mdsia "):
+        cn.mdsia_ndt(5, 2, Fraction(1, 4), 0)
+    with pytest.raises(OutOfRange, match="^scheme soft "):
+        cn.soft_ndt(4, 2, Fraction(1, 3), 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # fronthaul-quality threshold
 # ---------------------------------------------------------------------------
@@ -162,6 +194,65 @@ def test_compare_schemes_handles_unsupported_regimes():
     assert row.argmin == "soft"
 
 
+def _slice_mu_rs(h: int, r: int, mu_t: Fraction, rng: random.Random) -> list[Fraction]:
+    """Integral levels and bracket midpoints of every normalizer, and random multiples of 1/2520."""
+    mu_rs = {Fraction(rng.randrange(2521), 2520) for _ in range(3)}
+    for normalizer, top in (("L", comb(h - 1, r - 1)), ("K", comb(h, r)), ("ZF", comb(h, r))):
+        for p in rng.sample(range(top), min(top, 3)):
+            lo, hi = (level_mu(normalizer, h, r, q, mu_t) for q in (p, p + 1))
+            mu_rs |= {lo, hi, (lo + hi) / 2}
+    return sorted(mu_rs)
+
+
+def test_compare_schemes_equals_the_per_rho_evaluation():
+    # the ndt-grid benchmark's (H, r) x mu_t slices, each mu_r at every rho
+    rng = random.Random(13)
+    slices = [
+        [(h, r, mu_r, mu_t, rho) for mu_r in _slice_mu_rs(h, r, mu_t, rng) for rho in RHOS]
+        for mu_t in (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(1))
+        for h, r in ((4, 2), (5, 2), (8, 2), (12, 2), (6, 3), (7, 3))
+    ]
+    entries = sorted(chain.from_iterable(slices))
+    expected = dict(zip(entries, compare_schemes_per_rho(entries)))
+    rows = expected.values()
+    assert any(row.mu_r + row.mu_t < 1 and row.values["zf"] is None for row in rows)
+    assert any(row.mu_r + row.mu_t >= 1 and row.values["zf"] is not None for row in rows)
+    assert any(row.values["mdsia"] is None for row in rows)
+    assert any(row.values["mdsia"] and row.values["mdsia"].sharing.alpha != 1 for row in rows)
+
+    shuffled = rng.sample(entries, len(entries))
+    repeated = entries + rng.sample(entries, len(entries) // 3)
+    rng.shuffle(repeated)
+    interleaved = [e for group in zip_longest(*slices) for e in group if e is not None]
+    for grid in (entries, shuffled, repeated, interleaved):
+        assert cn.compare_schemes(grid) == [expected[e] for e in grid]
+
+
+def _scheme_named(message: str) -> str:
+    """The scheme a non-positive-rho error names."""
+    return re.search(r"scheme (\w+) uses the fronthaul", message).group(1)
+
+
+@pytest.mark.parametrize("point,rho,scheme", [
+    ((5, 2, Fraction(1, 4), 0), 0, "mdsia"),
+    ((5, 2, Fraction(1, 4), 0), -1, "mdsia"),
+    # mdsia is n/a there, so the first scheme in registry order with a fronthaul part
+    ((6, 3, Fraction(1, 10), 0), 0, "soft"),
+    # mdsia's lower corner (t = 3 < L - 2) is n/a, so mdsia is n/a at every rho
+    ((5, 3, Fraction(7, 12), 0), 0, "soft"),
+])
+def test_compare_schemes_rejects_non_positive_rho(point, rho, scheme):
+    with pytest.raises(OutOfRange) as info:
+        cn.compare_schemes([(*point, 1), (*point, rho)])
+    assert _scheme_named(str(info.value)) == scheme
+
+
+def test_compare_schemes_takes_any_rho_where_no_fronthaul_is_used():
+    [at_zero, at_one] = cn.compare_schemes([(6, 3, Fraction(1, 10), 1, 0), (6, 3, Fraction(1, 10), 1, 1)])
+    assert at_zero.values == at_one.values and at_zero.values["mdsia"] is None
+    assert at_zero.argmin == "zf"
+
+
 def test_argmin_tie_breaks_toward_fronthaul_free():
     [row] = cn.compare_schemes([(5, 2, 1, 0, 1)])
     assert all(v.total == 0 for v in row.values.values())
@@ -201,6 +292,34 @@ def test_convexity_skips_out_of_region_pairs():
     assert set(report.skipped_pairs) == {
         (Fraction(1, 2), Fraction(7, 10)), (Fraction(1, 2), Fraction(9, 10))
     }
+
+
+@pytest.mark.parametrize("scheme,mu_t,rho,grid,h,r", [
+    ("mdsia", 0, 1, [Fraction(i, 8) for i in range(9)], 5, 2),
+    ("mdsia", Fraction(1, 10), Fraction(1, 4), [Fraction(i, 10) for i in range(11)], 6, 3),
+    ("soft", Fraction(3, 10), Fraction(1, 20), [Fraction(i, 10) for i in range(11)], 5, 2),
+    ("zf", Fraction(3, 10), 1, [Fraction(i, 20) for i in range(21)], 5, 2),
+])
+def test_convexity_report_equals_the_per_pair_check(scheme, mu_t, rho, grid, h, r):
+    report = cn.convexity_check(scheme, mu_t, rho, grid, h=h, r=r)
+    assert report == convexity_check_per_pair(scheme, mu_t, rho, grid, h=h, r=r)
+    assert report.checked_pairs
+
+
+def test_convexity_evaluates_each_point_once(monkeypatch):
+    calls = Counter()
+    shared = schemes.shared_scheme_ndt
+
+    def counting(scheme, h, r, mu_r, *args):
+        calls[mu_r] += 1
+        return shared(scheme, h, r, mu_r, *args)
+
+    monkeypatch.setattr(schemes, "shared_scheme_ndt", counting)
+    grid = [Fraction(i, 10) for i in range(11)]
+    report = cn.convexity_check("zf", Fraction(3, 10), 1, grid, h=5, r=2)
+    assert report.skipped_pairs and report.checked_pairs
+    assert sum(calls[m] for m in grid) == len(grid)
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("scheme,mu_t", [("mdsia", Fraction(0)), ("soft", Fraction(3, 10))])

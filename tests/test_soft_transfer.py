@@ -358,6 +358,9 @@ def test_structural_ndt_matches_closed_form(mu_r, mu_t):
     assert structural.total == closed.total
     assert structural.fronthaul == closed.fronthaul
     assert structural.edge == closed.edge
+    for bad in (0, -1):  # the closed form's rho check
+        with pytest.raises(OutOfRange, match="^scheme soft uses the fronthaul"):
+            cn.soft_structural_ndt(schedule, pl, rho=bad)
 
 
 def test_chunked_simulation_with_channel():
