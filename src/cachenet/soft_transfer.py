@@ -11,12 +11,13 @@ as quantized transmit symbols, accounted as load only.
 
 Everything but the payload bytes and the part sizes depends only on the
 geometry (H, K, t_U), so it is compiled once into a cached
-``DeliveryGeometry`` of index tables, its steps included as arrays. A
-``Schedule`` over those steps builds its steps and labels on its first
-read; delivery never reads them, but gathers its columns from the step
-arrays, checks coverage and numerics on whole arrays, and assembles each
-UE's file with one gather per part of the placement's byte layout. Any
-other list of steps is read from its labels, then takes the same path.
+``DeliveryGeometry`` of index tables, its steps and their chunk slots
+included as arrays. A ``Schedule`` over those steps builds its steps and
+labels on its first read; delivery never reads them, but gathers its
+columns from the step arrays, checks coverage and numerics on whole arrays,
+and assembles each UE's file with one gather per part of the placement's
+byte layout. Any other list of steps is read from its labels and located
+by key lookup, then takes the same path.
 """
 
 from __future__ import annotations
@@ -123,13 +124,14 @@ class DeliveryGeometry:
     ``chunk`` of the subfile with subset rank ``subset`` that destination
     ``dest`` misses, nulled at ``pi`` and sent beside the excluded set
     ``pi_prime``. Subsets, null sets and excluded sets are interned tuples
-    in lexicographic order, addressed by rank. Pieces are found by the
-    integer key ``(pi * len(pi_primes) + pi_prime) * K + dest - 1``: the two
-    null sets and the destination pin the subset, which the lookup then
-    checks. Bytes ``[0, C(K, t) * subfile)`` of a part are ``C(K, t) *
-    chunks`` chunk slots, slot ``subset * chunks + chunk``; ``cached[u - 1,
-    slot]`` says UE u holds that slot of every part of every file, and must
-    receive it otherwise. Holds no labels and no bytes.
+    in lexicographic order, addressed by rank. Bytes ``[0, C(K, t) *
+    subfile)`` of a part are ``C(K, t) * chunks`` chunk slots, slot ``subset
+    * chunks + chunk``, which ``step_slot`` holds per step entry; ``cached[u
+    - 1, slot]`` says UE u holds that slot of every part of every file, and
+    must receive it otherwise. ``piece_key`` sorts the pieces by ``(pi *
+    len(pi_primes) + pi_prime) * K + dest - 1`` (the two null sets and the
+    destination pin the subset, which a lookup checks) and ``piece_entry``
+    is each one's position in the raveled step tables. No labels, no bytes.
     """
 
     h: int
@@ -144,16 +146,18 @@ class DeliveryGeometry:
     pi_member: np.ndarray = field(repr=False)
     pi_primes: tuple[tuple[int, ...], ...] = field(repr=False)
     pi_prime_index: dict = field(repr=False)
-    # pieces, sorted by key
+    # pieces, sorted by key: where each sits in the raveled step tables, its subset rank and chunk rank
     piece_key: np.ndarray = field(repr=False)
-    piece_subset: np.ndarray = field(repr=False)
-    piece_chunk: np.ndarray = field(repr=False)
-    # the scheduler's steps of one part: per step its excluded-set id, and
-    # per (step, position) the UE served, its subset rank and its null-set id
+    piece_entry: np.ndarray = field(repr=False)
+    piece_subset = property(lambda self: self.step_subset.ravel()[self.piece_entry])
+    piece_chunk = property(lambda self: self.step_slot.ravel()[self.piece_entry] % self.chunks)
+    # the scheduler's steps of one part: per step its excluded-set id, and per
+    # (step, position) the UE served, its subset rank, null-set id and chunk slot
     step_pp: np.ndarray = field(repr=False)
     step_ue: np.ndarray = field(repr=False)
     step_subset: np.ndarray = field(repr=False)
     step_pi: np.ndarray = field(repr=False)
+    step_slot: np.ndarray = field(repr=False)
     cached: np.ndarray = field(repr=False)
 
     @property
@@ -168,11 +172,11 @@ class DeliveryGeometry:
         return (pi_id * len(self.pi_primes) + pi_prime_id) * self.k + ue - 1
 
     def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Piece index of every key, and whether the key names a piece at all."""
+        """Step-table entry of the piece every key names, and whether the key names a piece at all."""
         if not len(self.piece_key):
             return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
         at = np.minimum(np.searchsorted(self.piece_key, keys), len(self.piece_key) - 1)
-        return at, self.piece_key[at] == keys
+        return self.piece_entry[at], self.piece_key[at] == keys
 
 
 @lru_cache(maxsize=64)
@@ -213,6 +217,7 @@ def delivery_geometry(h: int, k: int, t: int) -> DeliveryGeometry:
     pi = pool & ~pp_member[step_pp, None, 1:]
     step_subset, step_pi, chunk = lex_ranks(caching, True), lex_ranks(pi, True), lex_ranks(pi, pool)
     del caching, pool, pi
+    step_slot = step_subset * chunks + chunk
 
     cached = np.repeat(subset_member[:, 1:].T, chunks, axis=1)
     key = ((step_pi * len(pi_primes) + step_pp[:, None]) * k + step_ue - 1).ravel()
@@ -231,18 +236,17 @@ def delivery_geometry(h: int, k: int, t: int) -> DeliveryGeometry:
         pi_primes=pi_primes,
         pi_prime_index={p: i for i, p in enumerate(pi_primes)},
         piece_key=frozen_table(key[order]),
-        piece_subset=frozen_table(step_subset.ravel()[order]),
-        piece_chunk=frozen_table(chunk.ravel()[order]),
+        piece_entry=frozen_table(order),
         step_pp=frozen_table(step_pp),
         step_ue=frozen_table(step_ue),
         step_subset=frozen_table(step_subset),
         step_pi=frozen_table(step_pi),
+        step_slot=frozen_table(step_slot),
         cached=frozen_table(cached, bool),
     )
     assert np.all(geometry.piece_key[1:] > geometry.piece_key[:-1]), "piece keys must be unique"
     # completeness: the steps hit every chunk slot a UE misses exactly once, and no other
-    slot = (step_ue - 1) * cached.shape[1] + step_subset * chunks + chunk
-    hits = np.bincount(slot.ravel(), minlength=cached.size)
+    hits = np.bincount(((step_ue - 1) * cached.shape[1] + step_slot).ravel(), minlength=cached.size)
     assert (hits == ~cached.ravel()).all(), "every missing chunk once"
     # soundness: bystander i of entry j's stream nulls it or caches it
     by = step_ue[:, :, None]
@@ -541,24 +545,13 @@ class _Located:
         return np.flatnonzero((self.ue == ue) & (self.part == part) & (self.slot == slot)).tolist()
 
 
-def _columns(schedule, placement: SoftPlacement) -> tuple[np.ndarray, ...]:
-    """Per entry, in schedule order: step position, UE, file, part, subset, null
-    set and excluded set (ids into the placement's parts and geometry, -1 for
-    none), and whether the UE lies in its step's excluded set. A ``Schedule``
-    over the placement's geometry gives them by gather from its step arrays
-    and demand, its parts matched by name; any other list of steps, from its labels.
+def _columns(schedule, placement: SoftPlacement, part_index: dict) -> tuple[np.ndarray, ...]:
+    """Per entry of a list of steps, in schedule order, read from its labels:
+    step position, UE, file, part, subset, null set and excluded set (ids
+    into the placement's parts and geometry, -1 for none), and whether the
+    UE lies in its step's excluded set.
     """
     g = placement.geometry
-    part_index = {p: i for i, p in enumerate(placement.parts)}
-    if isinstance(schedule, Schedule) and schedule.geometry is g:
-        copies, per_step = len(schedule.parts), g.step_ue.shape[1]
-        ue, subset, pi = (np.tile(a.ravel(), copies) for a in (g.step_ue, g.step_subset, g.step_pi))
-        pp = np.tile(np.repeat(g.step_pp, per_step), copies)
-        part = np.repeat(np.array([part_index.get(p, -1) for p in schedule.parts], dtype=np.int64), g.step_ue.size)
-        file = np.array(schedule.demand, dtype=np.int64)[ue - 1]
-        step = np.repeat(np.arange(len(schedule)), per_step)
-        return step, ue, file, part, subset, pi, pp, np.zeros(len(ue), dtype=bool)  # served UEs lie outside pp
-
     entries = [e for step in schedule for e in step.entries]
     n = len(entries)
     ues, labs = zip(*entries) if n else ((), ())
@@ -577,26 +570,39 @@ def _columns(schedule, placement: SoftPlacement) -> tuple[np.ndarray, ...]:
 
 
 def _locate(schedule, placement: SoftPlacement) -> _Located:
-    """Map every scheduled entry to its chunk slot, from the columns of ``_columns``.
+    """Map every scheduled entry to its chunk slot.
 
-    Raises ``ReconstructionMismatch`` for the first entry that names no piece
-    its UE misses (wrong UE, subset, null sets, part or file id).
+    A ``Schedule`` over the placement's geometry, of its parts and library
+    files, is located by gather from the step tables, tiled once per part.
+    Any other list of steps is read from its labels and located by key
+    lookup, raising ``ReconstructionMismatch`` for the first entry that names
+    no piece its UE misses (wrong UE, subset, null sets, part or file id).
     """
-    g = placement.geometry
-    step, ue, file, part, subset, pi, pp, excluded = _columns(schedule, placement)
-    ok = (ue >= 1) & (ue <= g.k) & (file >= 1) & (file <= placement.library.n_files)
+    g, n_files = placement.geometry, placement.library.n_files
+    part_index = {p: i for i, p in enumerate(placement.parts)}
+    own = isinstance(schedule, Schedule) and schedule.geometry is g and part_index.keys() >= set(schedule.parts)
+    if own and all(1 <= f <= n_files for f in schedule.demand):
+        copies, per_step = len(schedule.parts), g.step_ue.shape[1]
+        ue, subset, pi, slot = (np.tile(a.ravel(), copies) for a in (g.step_ue, g.step_subset, g.step_pi, g.step_slot))
+        part = np.repeat(np.array([part_index[p] for p in schedule.parts], dtype=np.int64), g.step_ue.size)
+        file = np.array(schedule.demand, dtype=np.int64)[ue - 1]
+        step = np.repeat(np.arange(len(schedule)), per_step)
+        excluded = np.zeros(len(ue), dtype=bool)  # served UEs lie outside their step's excluded set
+        return _Located(placement, schedule, step, ue, file, part, slot, subset, pi, excluded)
+
+    step, ue, file, part, subset, pi, pp, excluded = _columns(schedule, placement, part_index)
+    ok = (ue >= 1) & (ue <= g.k) & (file >= 1) & (file <= n_files)
     ok &= (part >= 0) & (subset >= 0) & (pi >= 0) & (pp >= 0)
-    at, found = g.find(np.where(ok, g.piece_keys(ue, pi, pp), -1))
+    entry, found = g.find(np.where(ok, g.piece_keys(ue, pi, pp), -1))
     ok &= found
-    ok[ok] = g.piece_subset[at[ok]] == subset[ok]
+    ok[ok] = g.step_subset.ravel()[entry[ok]] == subset[ok]
     if not ok.all():
         s, (u, lab) = _entry(schedule, step, int(np.argmin(ok)))
         raise ReconstructionMismatch(
             f"step {s.index}: UE {u} <- {lab}: no missing piece of the "
             f"(H, K, t) = ({g.h}, {g.k}, {g.t}) delivery of parts {placement.parts} has these coordinates"
         )
-    slot = subset * g.chunks + g.piece_chunk[at]
-    return _Located(placement, schedule, step, ue, file, part, slot, subset, pi, excluded)
+    return _Located(placement, schedule, step, ue, file, part, g.step_slot.ravel()[entry], subset, pi, excluded)
 
 
 def _check_coverage(loc: _Located, demand=None) -> None:
@@ -637,9 +643,9 @@ def _check_numerics(loc: _Located, ch: ChannelMatrix) -> None:
     # UEs scheduled to decode it: bystanders may sit in a structural null
     used, first, inverse = np.unique(loc.pi, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    receivers = {g.pis[p]: set() for p in used[order].tolist()}
-    for code in np.unique(loc.pi * (g.k + 1) + loc.ue).tolist():
-        receivers[g.pis[code // (g.k + 1)]].add(code % (g.k + 1))
+    hears = np.zeros((len(used), g.k + 1), dtype=bool)
+    hears[inverse, loc.ue] = True
+    receivers = {g.pis[p]: set(np.flatnonzero(row).tolist()) for p, row in zip(used[order].tolist(), hears[order])}
     beams, ch, _ = beamformers_for(ch, receivers, mode, receivers_by_set=receivers)
     gain = np.abs(ch.matrix @ np.stack([bf.vector for bf in beams.values()], axis=1))
     beam = np.argsort(order)[inverse]  # each entry's column: its null set's place in first-use order
@@ -747,14 +753,15 @@ def soft_simulate(
     """Drive the schedule and verify decodability and bit-exact recovery.
 
     Every entry is located in the compiled geometry (a ``Schedule`` over the
-    placement's geometry by its step arrays, any other list of steps by its
-    labels), and cache plus deliveries must fill every chunk slot of every
-    UE exactly once. With a channel, beamformers are built per distinct null set
-    (degenerate draws redrawn deterministically) and every step is checked
-    numerically: desired coefficients stay above the decodability floor,
-    nulled coefficients below the residual tolerance, and any bystander must
-    hold the subfile in cache. With ``ch=None`` the numeric layer is skipped
-    and only the combinatorial/bit layer runs (the geometry is channel-free).
+    placement's geometry by gather from its step tables, any other list of
+    steps by key lookup of its labels), and cache plus deliveries must fill
+    every chunk slot of every UE exactly once. With a channel, beamformers
+    are built per distinct null set (degenerate draws redrawn
+    deterministically) and every step is checked numerically: desired
+    coefficients stay above the decodability floor, nulled coefficients
+    below the residual tolerance, and any bystander must hold the subfile in
+    cache. With ``ch=None`` the numeric layer is skipped and only the
+    combinatorial/bit layer runs (the geometry is channel-free).
 
     Returns one ok-verdict per UE; failures raise.
 

@@ -323,7 +323,8 @@ def delivery_by_enumeration(h: int, k: int, t: int) -> dict:
     step (per excluded set pi_prime, the rank-s admissible subset of each
     served UE), ranking subsets and null sets by their position in
     ``itertools.combinations`` output. Returns ``steps`` as
-    ``(pi_prime, ues, subsets, pis)`` tuples; ``piece_key``,
+    ``(pi_prime, ues, subsets, pis)`` tuples; ``step_slot``, per step the
+    chunk slot ``subset_rank * chunks + chunk`` of each entry; ``piece_key``,
     ``piece_subset`` and ``piece_chunk`` sorted by the piece key
     ``(pi * len(pi_primes) + pi_prime) * K + dest - 1``; and ``cached``,
     the K x (C(K, t) * chunks) mask of the chunk slots each UE holds. Uses
@@ -339,7 +340,7 @@ def delivery_by_enumeration(h: int, k: int, t: int) -> dict:
     pp_id = {p: i for i, p in enumerate(pi_primes)}
     chunks = comb(k - t - 1, h - 1) if not one_shot else 1
 
-    pieces = []
+    pieces, slot_of = [], {}  # slot_of: (dest, subset, pi) -> chunk slot
     for dest in universe:
         for r, t_set in enumerate(subsets):
             if dest in t_set:
@@ -348,9 +349,10 @@ def delivery_by_enumeration(h: int, k: int, t: int) -> dict:
             for c, pi in enumerate(combinations(pool, width)):
                 rest = tuple(u for u in pool if u not in pi)
                 pieces.append(((pi_id[pi] * len(pi_primes) + pp_id[rest]) * k + dest - 1, r, c))
+                slot_of[dest, t_set, pi] = r * chunks + c
     pieces.sort()
 
-    steps = []
+    steps, step_slot = [], []
     if t < k:
         for pi_prime in pi_primes:
             served = [u for u in universe if u not in pi_prime]
@@ -361,13 +363,21 @@ def delivery_by_enumeration(h: int, k: int, t: int) -> dict:
                     tuple(u for u in served if u != ue and u not in t_set) for ue, t_set in zip(served, t_sets)
                 )
                 steps.append((pi_prime, tuple(served), t_sets, nulls))
+                step_slot.append(tuple(slot_of[e] for e in zip(served, t_sets, nulls)))
 
     cached = np.zeros((k, len(subsets) * chunks), dtype=bool)
     for r, t_set in enumerate(subsets):
         for ue in t_set:
             cached[ue - 1, r * chunks : (r + 1) * chunks] = True
     key, subset, chunk = np.array(pieces, dtype=np.int64).reshape(len(pieces), 3).T
-    return {"steps": tuple(steps), "piece_key": key, "piece_subset": subset, "piece_chunk": chunk, "cached": cached}
+    return {
+        "steps": tuple(steps),
+        "step_slot": tuple(step_slot),
+        "piece_key": key,
+        "piece_subset": subset,
+        "piece_chunk": chunk,
+        "cached": cached,
+    }
 
 
 def eager_schedule(demand, placement) -> list:

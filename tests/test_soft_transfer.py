@@ -1,9 +1,14 @@
 """Tests for the cloud-assisted zero-forcing scheme with subset placement."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 import cachenet as cn
 from cachenet import soft_transfer
 from cachenet.errors import (
+    DegenerateChannel,
     IndivisibleFileSize,
     InterferenceLeak,
     NonDistinctDemand,
@@ -423,6 +429,33 @@ def test_simulate_rejects_a_schedule_of_another_cache_level():
             cn.soft_simulate(other_schedule, ch, pl, demand)
 
 
+def assert_rejected_alike(schedule, placement, demand):
+    """A ``Schedule`` and the list of its steps are rejected with one class and one message."""
+    for call in (lambda s: cn.soft_simulate(s, None, placement, demand), lambda s: collect_deliveries(s, None, placement)):
+        errors = []
+        for steps in (schedule, list(schedule)):
+            with pytest.raises(ReconstructionMismatch) as err:
+                call(steps)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("mu_r", [Fraction(3, 6), Fraction(1, 6)], ids=["one-shot", "chunked"])
+def test_a_rejected_schedule_fails_as_the_list_of_its_steps(mu_r):
+    t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
+    _, _, split, _, split_schedule = make_soft(4, 2, mu_r, Fraction(1, 2))
+    mu_r_zf, mu_t_zf = Fraction(pl.t_u + t.k, 2 * t.k), Fraction(1, 2)
+    zf = cn.zf_place(cn.random_library(t.k, cn.minimal_zf_file_bits(4, 2, mu_r_zf, mu_t_zf), seed=5), t, mu_r_zf, mu_t_zf)
+    zf_schedule = cn.soft_schedule(demand, zf, t)
+    for sched, placement in [(schedule, split), (split_schedule, pl), (zf_schedule, pl), (schedule, zf)]:
+        assert sched.geometry is placement.geometry
+        assert_rejected_alike(sched, placement, demand)
+    # a library one file short of the demand, over the same (H, K, t)
+    small = cn.soft_place(cn.random_library(t.k - 1, lib.file_size_bits, seed=5), t, mu_r, 0)
+    assert small.geometry is pl.geometry and max(demand) > small.library.n_files
+    assert_rejected_alike(schedule, small, demand)
+
+
 @pytest.mark.parametrize("mu_r", [Fraction(3, 6), Fraction(1, 6)], ids=["one-shot", "chunked"])
 def test_simulate_rejects_a_schedule_of_other_parts(mu_r):
     t, lib, pl, demand, schedule = make_soft(4, 2, mu_r, 0)
@@ -547,10 +580,11 @@ def test_compiled_geometry_matches_the_enumeration(h, k, t):
     assert step_tuples(g) == want["steps"]
     m = k if g.case == CASE_ONE_SHOT else h + t
     assert g.step_pp.shape == (len(want["steps"]),)
-    for name in ("step_ue", "step_subset", "step_pi"):
+    for name in ("step_ue", "step_subset", "step_pi", "step_slot"):
         assert getattr(g, name).shape == (len(want["steps"]), m), name
-    for name in ("step_pp", "step_ue", "step_subset", "step_pi"):
+    for name in ("step_pp", "step_ue", "step_subset", "step_pi", "step_slot"):
         assert not getattr(g, name).flags.writeable, name
+    assert tuple(map(tuple, g.step_slot.tolist())) == want["step_slot"]
     for name in ("piece_key", "piece_subset", "piece_chunk"):
         assert np.array_equal(getattr(g, name), want[name]), name
     assert np.array_equal(g.cached, want["cached"])
@@ -589,19 +623,84 @@ def test_schedule_matches_the_eager_oracle_on_every_enumerated_geometry(h, k, t)
     assert_schedule_matches_the_oracle(list(range(k, 0, -1)), geometry_placement(h, k, t))
 
 
+def lattice_placement(t, scheme, level):
+    """The criterion-5 lattice placement of ``scheme`` at ``level``: soft at mu_t = 0, zf at mu_t = 1/2."""
+    if scheme == "soft":
+        mu_r, mu_t = Fraction(level, t.k), Fraction(0)
+    else:
+        mu_r, mu_t = Fraction(level + t.k, 2 * t.k), Fraction(1, 2)
+    f_bits = SCHEMES[scheme].file_bits(t.h, t.r, mu_r, mu_t)
+    pl = SCHEMES[scheme].place(cn.random_library(t.k, f_bits, seed=0), t, mu_r, mu_t)
+    assert pl.t_u == level
+    return pl
+
+
 @pytest.mark.parametrize("scheme", ["soft", "zf"])
 @pytest.mark.parametrize("h,r", [(3, 2), (4, 2), (5, 2), (4, 3)])
 def test_schedule_matches_the_eager_oracle_over_the_lattice(h, r, scheme):
     t = cn.build_topology(h, r)
     for level in range(t.k + 1):
-        if scheme == "soft":
-            mu_r, mu_t = Fraction(level, t.k), Fraction(0)
+        assert_schedule_matches_the_oracle(list(range(1, t.k + 1)), lattice_placement(t, scheme, level))
+
+
+class KeySearched(AssertionError):
+    """Raised by a piece-key lookup that a test forbids."""
+
+
+@pytest.mark.parametrize("scheme", ["soft", "zf"])
+@pytest.mark.parametrize("h,r", [(3, 2), (4, 2), (5, 2), (4, 3)])
+def test_a_schedule_over_its_own_geometry_is_delivered_without_a_key_search(h, r, scheme, monkeypatch):
+    def search(*args):
+        raise KeySearched
+
+    monkeypatch.setattr(soft_transfer.DeliveryGeometry, "find", search)
+    monkeypatch.setattr(soft_transfer.DeliveryGeometry, "piece_keys", search)
+    t = cn.build_topology(h, r)
+    demand = list(range(1, t.k + 1))
+    for level in range(t.k + 1):
+        pl = lattice_placement(t, scheme, level)
+        schedule = cn.soft_schedule(demand, pl, t)
+        assert all(v.ok for v in cn.soft_simulate(schedule, None, pl, demand))
+        if (h, r) == (5, 2) and level < 6:
+            # zero-forcing cannot reach every receiver of these (5, 2) deliveries on the
+            # partially connected channel; the entries are located before beamforming
+            with pytest.raises(DegenerateChannel):
+                cn.soft_simulate(schedule, cn.draw_channel(t, 3), pl, demand)
         else:
-            mu_r, mu_t = Fraction(level + t.k, 2 * t.k), Fraction(1, 2)
-        f_bits = SCHEMES[scheme].file_bits(h, r, mu_r, mu_t)
-        pl = SCHEMES[scheme].place(cn.random_library(t.k, f_bits, seed=0), t, mu_r, mu_t)
-        assert pl.t_u == level
-        assert_schedule_matches_the_oracle(list(range(1, t.k + 1)), pl)
+            assert all(v.ok for v in cn.soft_simulate(schedule, cn.draw_channel(t, 3), pl, demand))
+        assert all(v.ok for v in cn.zf_deliver(demand, pl, t, None)[1])
+        assert_oracle_bytes(schedule, pl, demand)
+        # any other list of steps is located by key lookup
+        with pytest.raises(KeySearched):
+            cn.soft_simulate(list(schedule), None, pl, demand)
+        with pytest.raises(KeySearched):
+            collect_deliveries(list(schedule), None, pl)
+
+
+def test_channel_delivery_does_not_import_numpy_ma():
+    # numpy's plain ``unique`` imports numpy.ma on its first call, a one-off cost inside the first delivery
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import cachenet as cn
+
+        t = cn.build_topology(4, 2)
+        demand = list(range(1, t.k + 1))
+        for mu_r in (Fraction(1, 6), Fraction(1, 2)):
+            lib = cn.random_library(t.k, cn.minimal_soft_file_bits(4, 2, mu_r, 0), seed=1)
+            pl = cn.soft_place(lib, t, mu_r, 0)
+            schedule = cn.soft_schedule(demand, pl, t)
+            assert all(v.ok for v in cn.soft_simulate(schedule, cn.draw_channel(t, 3), pl, demand))
+        mu_r, mu_t = Fraction(2, 3), Fraction(1, 2)
+        pl = cn.zf_place(cn.random_library(t.k, cn.minimal_zf_file_bits(4, 2, mu_r, mu_t), seed=1), t, mu_r, mu_t)
+        assert all(v.ok for v in cn.zf_deliver(demand, pl, t, cn.draw_channel(t, 3))[1])
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cn.__file__).parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
