@@ -83,8 +83,9 @@ def frac_str(x: Fraction) -> str:
 
 
 def cell(x: Fraction) -> str:
-    """CSV cell carrying both the exact and the float rendering."""
-    return f"{frac_str(x)}|{float(x)!r}"
+    """CSV cell carrying both the exact and the float rendering (``float`` of a rational is n / d)."""
+    n, d = x.numerator, x.denominator
+    return f"{n}|{float(n)!r}" if d == 1 else f"{n}/{d}|{n / d!r}"
 
 
 def parse_cell(text: str) -> Fraction:
@@ -213,7 +214,10 @@ def _grid_values(args) -> list[Fraction]:
     if args.mu_r_list is not None:
         text = args.mu_r_list.strip()
         return [as_fraction(tok) for tok in text.split(",")] if text else []
-    start, stop, step = (as_fraction(tok) for tok in args.mu_r_grid.split(":"))
+    bounds = args.mu_r_grid.split(":")
+    if len(bounds) != 3:
+        raise ValueError(f"--mu-r-grid expects start:stop:step, got {args.mu_r_grid!r}")
+    start, stop, step = map(as_fraction, bounds)
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     values = []
@@ -226,18 +230,21 @@ def _grid_values(args) -> list[Fraction]:
 
 def sweep_rows(h: int, r: int, mu_t, mu_rs, rhos) -> list[str]:
     """CSV body lines for every (mu_r, rho, scheme), sorted and exact."""
-    mu_t = as_fraction(mu_t)
-    grid = [(h, r, mu_r, mu_t, rho) for mu_r in sorted(mu_rs) for rho in sorted(rhos)]
+    mu_t, mu_rs, rhos = as_fraction(mu_t), sorted(mu_rs), sorted(rhos)
+    rows = iter(compare_schemes([(h, r, mu_r, mu_t, rho) for mu_r in mu_rs for rho in rhos]))
+    mu_t_cell, rho_cells = cell(mu_t), [cell(as_fraction(rho)) for rho in rhos]
     lines = []
-    for row in compare_schemes(grid):
-        prefix = f"{h},{r},{cell(row.mu_r)},{cell(row.mu_t)},{cell(row.rho)}"
-        for scheme, value in row.values.items():
-            if value is None:
-                lines.append(f"{prefix},{scheme},n/a,n/a,n/a,n/a,n/a,n/a,0")
-                continue
-            s = value.sharing
-            lines.append(f"{prefix},{scheme},{cell(value.total)},{cell(value.fronthaul)},{cell(value.edge)},"
-                         f"{frac_str(s.alpha)},{s.param_lo},{s.param_hi},{int(row.argmin == scheme)}")
+    for mu_r in mu_rs:  # rows come mu_r-major, one per rho
+        point = f"{h},{r},{cell(as_fraction(mu_r))},{mu_t_cell}"
+        for rho_cell, row in zip(rho_cells, rows):
+            prefix = f"{point},{rho_cell}"
+            for scheme, value in row.values.items():
+                if value is None:
+                    lines.append(f"{prefix},{scheme},n/a,n/a,n/a,n/a,n/a,n/a,0")
+                    continue
+                s = value.sharing
+                lines.append(f"{prefix},{scheme},{cell(value.total)},{cell(value.fronthaul)},{cell(value.edge)},"
+                             f"{frac_str(s.alpha)},{s.param_lo},{s.param_hi},{int(row.argmin == scheme)}")
     return lines
 
 

@@ -44,8 +44,13 @@ def lex_ranks(members, pool) -> np.ndarray:
     left = size[..., None] + 1 - np.cumsum(members, axis=-1, dtype=small)
     top_n, top_size = int(n.max(initial=0)), int(size.max(initial=0))
     pascal = _pascal(top_n, top_size)
-    terms = pascal[n[..., None] - position, np.where(members, left, top_size + 1)]
-    return pascal[n, size] - 1 - terms.sum(axis=-1)
+    ranks = pascal[n, size] - 1
+    width = max(1, (1 << 18) // max(n.size, 1))  # element columns per gather: at most 256 Ki terms, or one column
+    for j in range(0, members.shape[-1], width):
+        cols = slice(j, j + width)
+        terms = pascal[n[..., None] - position[..., cols], np.where(members[..., cols], left[..., cols], top_size + 1)]
+        ranks -= terms.sum(axis=-1)
+    return ranks
 
 
 @lru_cache(maxsize=256)

@@ -12,15 +12,19 @@ caller renders values.
 Every NDT is affine in 1/rho, delta = edge + fronthaul/rho, and memory
 sharing mixes corner points with a weight free of rho: a value at rho = 1
 gives every rho by scaling its fronthaul part (``at_rho``, the one place rho
-is checked). Grid comparison evaluates each cache point once, at rho = 1.
+is checked). ``memory_share`` evaluates each closed form once per integral
+corner, at rho = 1, into a bounded cache, mixes two cached corners at rho = 1
+and scales the mix by ``at_rho`` once. Grid comparison evaluates each cache
+point once, at rho = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import fractional_level, level_mu
 from .errors import OutOfRange
@@ -46,7 +50,7 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharingDecomposition:
     """How a fractional cache point splits across two integer-parameter points.
 
@@ -63,7 +67,7 @@ class SharingDecomposition:
     param_lo: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NdtValue:
     """An exact delivery-time value with its fronthaul/edge decomposition."""
 
@@ -90,7 +94,7 @@ def at_rho(value: NdtValue, rho) -> NdtValue:
     if rho == 1:
         return value
     fronthaul = value.fronthaul / rho
-    return replace(value, total=value.edge + fronthaul, fronthaul=fronthaul)
+    return NdtValue(value.edge + fronthaul, fronthaul, value.edge, value.scheme, value.branch, value.sharing)
 
 
 # ---------------------------------------------------------------------------
@@ -108,32 +112,33 @@ def memory_share(ndt_fn, h: int, r: int, mu_r, mu_t, rho, normalizer: str) -> Nd
     directly (alpha = 1); otherwise the two adjacent integer points are
     combined with the exact affine weight, and errors raised at a bracket
     point propagate. Cache fractions outside [0, 1] raise ``OutOfRange``.
+    Each corner is evaluated once, at rho = 1, into a bounded cache keyed by
+    ``ndt_fn`` itself (an error is not kept: it is raised on every call); the
+    corners mix at rho = 1 and one ``at_rho`` call scales the mix to ``rho``.
     """
     mu_r = as_fraction(mu_r)
     mu_t = as_fraction(mu_t)
     param = fractional_level(normalizer, h, r, mu_r, mu_t)
-
     if param.denominator == 1:
-        p = int(param)
-        value = ndt_fn(h, r, mu_r, mu_t, rho)
-        sharing = SharingDecomposition(mu_hi=mu_r, mu_lo=mu_r, alpha=Fraction(1), param_hi=p, param_lo=p)
-        return replace(value, sharing=sharing)
+        return at_rho(_corner(ndt_fn, h, r, normalizer, param.numerator, mu_t), rho)
 
     p_lo = math.floor(param)
     p_hi = p_lo + 1
     alpha = param - p_lo  # affine in mu_r, so this is the weight of the upper point
-    mu_hi, mu_lo = (level_mu(normalizer, h, r, p, mu_t) for p in (p_hi, p_lo))
-    v_hi = ndt_fn(h, r, mu_hi, mu_t, rho)
-    v_lo = ndt_fn(h, r, mu_lo, mu_t, rho)
-    sharing = SharingDecomposition(mu_hi=mu_hi, mu_lo=mu_lo, alpha=alpha, param_hi=p_hi, param_lo=p_lo)
-    return NdtValue(
-        total=alpha * v_hi.total + (1 - alpha) * v_lo.total,
-        fronthaul=alpha * v_hi.fronthaul + (1 - alpha) * v_lo.fronthaul,
-        edge=alpha * v_hi.edge + (1 - alpha) * v_lo.edge,
-        scheme=v_hi.scheme,
-        branch="shared",
-        sharing=sharing,
-    )
+    v_hi, v_lo = (_corner(ndt_fn, h, r, normalizer, p, mu_t) for p in (p_hi, p_lo))
+    fronthaul = alpha * v_hi.fronthaul + (1 - alpha) * v_lo.fronthaul
+    edge = alpha * v_hi.edge + (1 - alpha) * v_lo.edge
+    sharing = SharingDecomposition(v_hi.sharing.mu_hi, v_lo.sharing.mu_lo, alpha, param_hi=p_hi, param_lo=p_lo)
+    return at_rho(NdtValue(fronthaul + edge, fronthaul, edge, v_hi.scheme, "shared", sharing), rho)
+
+
+@lru_cache(maxsize=4096)
+def _corner(ndt_fn, h: int, r: int, normalizer: str, p: int, mu_t: Fraction) -> NdtValue:
+    """``ndt_fn`` at the integral level ``p`` and rho = 1, carrying its trivial sharing (alpha = 1)."""
+    mu = level_mu(normalizer, h, r, p, mu_t)
+    v = ndt_fn(h, r, mu, mu_t, 1)
+    sharing = SharingDecomposition(mu_hi=mu, mu_lo=mu, alpha=Fraction(1), param_hi=p, param_lo=p)
+    return NdtValue(v.total, v.fronthaul, v.edge, v.scheme, v.branch, sharing)
 
 
 def argmin_key(scheme: str, value: NdtValue):

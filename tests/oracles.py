@@ -254,6 +254,60 @@ def compare_schemes_per_rho(grid) -> list:
     return rows
 
 
+#: the schemes, in registry order, named independently of the registry
+SCHEME_NAMES = ("mdsia", "soft", "zf")
+
+
+def closed_form_by_hand(scheme: str, h: int, r: int, p: int, mu_t: Fraction):
+    """(fronthaul at rho = 1, edge) of a scheme at the integral level ``p``, or
+    None where it does not cover the level (connectivity 3+ below t = L - 2 for
+    mdsia). Written out from the papers' formulas; calls no cachenet NDT function."""
+    k, l = comb(h, r), comb(h - 1, r - 1)
+    if scheme == "mdsia":
+        if r != 2 and p < l - 2:
+            return None
+        share = Fraction(l - p, r)
+        return share * max(Fraction(0), 1 - r * mu_t) / (p + 1), share * (Fraction(r - 1, l) + Fraction(1, p + 1))
+    edge = Fraction(k - p, min(h + p, k))
+    if scheme == "soft":
+        return (1 - mu_t) * (k - p) / Fraction(h), edge
+    return Fraction(0), mu_t * edge
+
+
+def shared_by_hand(scheme: str, h: int, r: int, mu_r: Fraction, mu_t: Fraction, rho: Fraction):
+    """Memory sharing between the two levels around the cache point, from ``closed_form_by_hand``:
+    (total, fronthaul, edge, alpha, (level_lo, level_hi), (mu_lo, mu_hi)) at ``rho``, or None where the
+    scheme does not cover the point (outside the cloud-free region, or at an uncovered level)."""
+    k, l = comb(h, r), comb(h - 1, r - 1)
+    if scheme != "zf":  # mu_r = offset + slope * level
+        offset, slope = Fraction(0), Fraction(1, l if scheme == "mdsia" else k)
+    elif mu_r + mu_t >= 1:
+        offset, slope = 1 - mu_t, mu_t / k
+    else:
+        return None
+    level = Fraction(k) if slope == 0 else (mu_r - offset) / slope  # zf at mu_t = 0 only reaches mu_r = 1
+    lo = level.numerator // level.denominator
+    hi, alpha = (lo, Fraction(1)) if level == lo else (lo + 1, level - lo)
+    corners = [closed_form_by_hand(scheme, h, r, p, mu_t) for p in (hi, lo)]
+    if None in corners:
+        return None
+    (f_hi, e_hi), (f_lo, e_lo) = corners
+    fronthaul = (alpha * f_hi + (1 - alpha) * f_lo) / rho
+    edge = alpha * e_hi + (1 - alpha) * e_lo
+    return fronthaul + edge, fronthaul, edge, alpha, (lo, hi), (offset + slope * lo, offset + slope * hi)
+
+
+def compare_schemes_by_hand(grid) -> list[tuple]:
+    """Per grid row: each scheme's ``shared_by_hand`` value and the argmin (smallest total, then no
+    fronthaul used, then the fronthaul-free zf, then the name)."""
+    rows = []
+    for h, r, mu_r, mu_t, rho in grid:
+        values = {s: shared_by_hand(s, h, r, Fraction(mu_r), Fraction(mu_t), Fraction(rho)) for s in SCHEME_NAMES}
+        best = min((s for s, v in values.items() if v), key=lambda s: (values[s][0], values[s][1] != 0, s != "zf", s))
+        rows.append((values, best))
+    return rows
+
+
 def convexity_check_per_pair(scheme: str, mu_t, rho, mu_r_grid, *, h: int, r: int):
     """``convexity_check`` evaluating both endpoints and the midpoint afresh for every pair."""
     pts = sorted(cn.as_fraction(m) for m in mu_r_grid)

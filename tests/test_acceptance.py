@@ -52,31 +52,41 @@ def zf_memory_point(k, t_r):
     return Fraction(t_r + k, 2 * k), Fraction(1, 2)
 
 
-def rebuild_prefix(ue, want, placement, delivered):
-    """Reassemble the split scheme's prefix from cache plus delivered labels.
+def prefix_plan(ue, want, placement, labels):
+    """Where each subfile of the split scheme's demanded prefix comes from, in order.
 
     Independent of the library's own assembler: walks every subfile of the
-    demanded prefix and takes it either from the UE cache or from the
-    delivered one-shot subfile / sorted chunk sequence.
+    demanded prefix and pairs it with None where the UE caches it, else with
+    the delivered labels that carry it (the one-shot subfile, or its chunks
+    sorted by null set). The labels depend on the schedule only, so one plan
+    serves every library seed of a point.
     """
     k = placement.topology.k
     by_base = {}
-    for lab in delivered:
+    for lab in labels:
         by_base.setdefault(lab.base(), []).append(lab)
-    pieces = []
+    plan = []
     for part in placement.parts:
         for t_set in combinations(range(1, k + 1), placement.t_u):
             base = cn.SoftSubfileLabel(file=want, subset=t_set, part=part)
             if ue in t_set:
-                pieces.append(placement.subfile_payload(base))
+                plan.append((base, None))
             elif placement.case == CASE_ONE_SHOT:
                 (lab,) = by_base[base]
-                pieces.append(delivered[lab])
+                plan.append((base, [lab]))
             else:
                 chunks = sorted(by_base[base], key=lambda lb: lb.pi)
                 assert len(chunks) == placement.chunk_count
-                pieces.append(b"".join(delivered[c] for c in chunks))
-    return b"".join(pieces)
+                plan.append((base, chunks))
+    return plan
+
+
+def rebuild_prefix(plan, placement, delivered):
+    """Reassemble the prefix from cache plus delivered bytes, following ``prefix_plan``."""
+    return b"".join(
+        placement.subfile_payload(base) if labels is None else b"".join(delivered[lab] for lab in labels)
+        for base, labels in plan
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +237,18 @@ def test_criterion_05_bit_exact_reconstruction_over_50_library_seeds():
             lib0 = cn.random_library(k, f_bits, seed=0)
             pl0 = cn.zf_place(lib0, t, mu_r, mu_t)
             schedule = cn.soft_schedule(demand, pl0, t)
+            # the labels each UE receives depend on the schedule only: group them once per UE
+            labels = collect_deliveries(schedule, None, pl0)
+            plans = {ue: prefix_plan(ue, demand[ue - 1], pl0, labels[ue]) for ue in range(1, k + 1)}
             for seed in range(n_seeds):
                 lib = cn.random_library(k, f_bits, seed=seed)
                 pl = cn.zf_place(lib, t, mu_r, mu_t)
                 prefix_bytes = pl.part_bits.get("local", 0) // 8
                 got = collect_deliveries(schedule, None, pl)
                 for ue in range(1, k + 1):
-                    want = demand[ue - 1]
-                    prefix = rebuild_prefix(ue, want, pl, got[ue])
-                    assert prefix == lib.file(want)[:prefix_bytes]
+                    assert len(got[ue]) == len(labels[ue])
+                    prefix = rebuild_prefix(plans[ue], pl, got[ue])
+                    assert prefix == lib.file(demand[ue - 1])[:prefix_bytes]
             points += 1
 
     elapsed = time.monotonic() - t0

@@ -266,6 +266,14 @@ def test_sweep_rejects_non_positive_rho(argv, scheme, capsys):
     assert re.search(r"scheme (\w+) uses the fronthaul", err).group(1) == scheme
 
 
+@pytest.mark.parametrize("grid", ["1/2", "0:1", "0:1:1/2:3"])
+def test_sweep_names_a_malformed_grid(grid, capsys):
+    assert main(["sweep", "--h", "4", "--r", "2", "--mu-r-grid", grid, "--rhos", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --mu-r-grid expects start:stop:step, got '{grid}'\n"
+
+
 def test_sweep_takes_rho_zero_where_no_fronthaul_is_used(capsys):
     assert main(["sweep", "--h", "6", "--r", "3", "--mu-t", "1", "--mu-r-list", "0.1", "--rhos", "0"]) == 0
     assert capsys.readouterr().out == "\n".join([

@@ -3,6 +3,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, zip_longest
@@ -11,14 +12,26 @@ from math import comb
 import pytest
 
 import cachenet as cn
-from cachenet import schemes
+from cachenet import ndt, schemes
+from cachenet.cli import sweep_rows
 from cachenet.combinatorics import level_mu
-from cachenet.errors import OutOfRange, RegionViolation
+from cachenet.errors import OutOfRange, RegionViolation, UnsupportedRegime
 from cachenet.ndt import FRONTHAUL_FREE, argmin_key, at_rho, memory_share
 
-from oracles import FROZEN, compare_schemes_per_rho, convexity_check_per_pair, rho_threshold_remark_form
+from oracles import (
+    FROZEN,
+    SCHEME_NAMES,
+    compare_schemes_by_hand,
+    compare_schemes_per_rho,
+    convexity_check_per_pair,
+    rho_threshold_remark_form,
+    shared_by_hand,
+)
 
 RHOS = [Fraction(1, 20), Fraction(1, 4), Fraction(1), Fraction(4), Fraction(20)]
+#: the (H, r) x mu_t slices of the ndt-grid benchmark
+NDT_CONFIGS = [(4, 2), (5, 2), (8, 2), (12, 2), (6, 3), (7, 3)]
+NDT_MU_TS = [Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +222,8 @@ def test_compare_schemes_equals_the_per_rho_evaluation():
     rng = random.Random(13)
     slices = [
         [(h, r, mu_r, mu_t, rho) for mu_r in _slice_mu_rs(h, r, mu_t, rng) for rho in RHOS]
-        for mu_t in (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(1))
-        for h, r in ((4, 2), (5, 2), (8, 2), (12, 2), (6, 3), (7, 3))
+        for mu_t in NDT_MU_TS
+        for h, r in NDT_CONFIGS
     ]
     entries = sorted(chain.from_iterable(slices))
     expected = dict(zip(entries, compare_schemes_per_rho(entries)))
@@ -226,6 +239,84 @@ def test_compare_schemes_equals_the_per_rho_evaluation():
     interleaved = [e for group in zip_longest(*slices) for e in group if e is not None]
     for grid in (entries, shuffled, repeated, interleaved):
         assert cn.compare_schemes(grid) == [expected[e] for e in grid]
+
+
+def test_compare_schemes_equals_the_closed_forms_by_hand():
+    # every slice holds integral levels, bracket midpoints and random points, each at every rho
+    rng = random.Random(29)
+    grid = []
+    for h, r in NDT_CONFIGS:
+        for mu_t in NDT_MU_TS:
+            mu_rs = set(_slice_mu_rs(h, r, mu_t, rng))
+            while len(mu_rs) < 24:
+                mu_rs.add(Fraction(rng.randrange(2521), 2520))
+            grid += [(h, r, mu_r, mu_t, rho) for mu_r in sorted(mu_rs) for rho in RHOS]
+    rows = cn.compare_schemes(grid)
+    expected = compare_schemes_by_hand(grid)
+    assert len(rows) == len(expected) == len(grid)
+    for row, (values, best) in zip(rows, expected):
+        assert tuple(row.values) == SCHEME_NAMES
+        for scheme, value in row.values.items():
+            if values[scheme] is None:
+                assert value is None, (row, scheme)
+                continue
+            total, fronthaul, edge, alpha, levels, mus = values[scheme]
+            s = value.sharing
+            assert (value.total, value.fronthaul, value.edge) == (total, fronthaul, edge), (row, scheme)
+            assert (s.alpha, (s.param_lo, s.param_hi), (s.mu_lo, s.mu_hi)) == (alpha, levels, mus), (row, scheme)
+        assert row.argmin == best, row
+    # the grid reaches every case the oracle distinguishes
+    shared = [v for row in rows for v in row.values.values() if v is not None]
+    assert {v.sharing.alpha == 1 for v in shared} == {True, False}
+    assert all(any(row.values[s] is None for row in rows) for s in ("mdsia", "zf"))
+    assert {row.argmin for row in rows} == set(SCHEME_NAMES)
+
+
+def test_one_sweep_evaluates_each_closed_form_once_per_corner(monkeypatch):
+    calls = Counter()
+
+    def counting(name, closed_form):
+        def ndt_fn(h, r, mu_r, mu_t, rho=None):
+            value = closed_form(h, r, mu_r, mu_t, rho)  # a raise is not counted: errors are not cached
+            calls[name, h, r, mu_r, mu_t] += 1  # a corner's mu_r names its level
+            return value
+        return ndt_fn
+
+    grid = [Fraction(i, 40) for i in range(41)]  # cachenet sweep --mu-r-grid 0:1:1/40
+    want = {(h, r, mu_t): sweep_rows(h, r, mu_t, grid, RHOS) for h, r in ((5, 2), (7, 3)) for mu_t in NDT_MU_TS}
+    for name, scheme in schemes.SCHEMES.items():
+        monkeypatch.setitem(schemes.SCHEMES, name, replace(scheme, ndt=counting(name, scheme.ndt)))
+    for (h, r, mu_t), lines in want.items():
+        assert sweep_rows(h, r, mu_t, grid, RHOS) == lines
+    assert {name for name, *_ in calls} == set(SCHEME_NAMES)
+    assert set(calls.values()) == {1}
+    assert ndt._corner.cache_info().maxsize is not None  # bounded
+
+
+def test_an_unsupported_corner_raises_on_every_call():
+    # (7, 3): L = 15, and mu_r = 5/6 is t = 25/2, between the uncovered t = 12 < L - 2 and t = 13
+    for _ in range(2):
+        with pytest.raises(UnsupportedRegime, match=r"^connectivity 3 requires t >= L-2, got t=12$"):
+            cn.shared_mdsia_ndt(7, 3, Fraction(5, 6), 0, 1)
+    # the covered corner t = 13 is kept, and a good call right after gets it right
+    value = cn.shared_mdsia_ndt(7, 3, Fraction(9, 10), 0, Fraction(1, 4))
+    assert (value.total, value.fronthaul, value.edge) == shared_by_hand("mdsia", 7, 3, Fraction(9, 10), 0, Fraction(1, 4))[:3]
+
+
+@pytest.mark.parametrize("scheme,point", [
+    ("mdsia", (5, 2, Fraction(1, 4), 0)),  # integral
+    ("mdsia", (5, 2, Fraction(3, 10), 0)),  # shared
+    ("soft", (4, 2, Fraction(1, 4), Fraction(1, 10))),
+])
+@pytest.mark.parametrize("rho", [None, 0, -1])
+def test_shared_ndt_checks_rho_although_its_corners_are_kept(scheme, point, rho):
+    shared_ndt = schemes.SCHEMES[scheme].shared_ndt
+    at_one = shared_ndt(*point, 1)  # keeps the corners
+    with pytest.raises(OutOfRange, match=rf"^scheme {scheme} uses the fronthaul, so rho must be positive, got {rho}$"):
+        shared_ndt(*point, rho)
+    assert shared_ndt(*point, 1) == at_one
+    after = shared_ndt(*point, 4)
+    assert (after.total, after.fronthaul, after.edge) == shared_by_hand(scheme, *point, 4)[:3]
 
 
 def _scheme_named(message: str) -> str:
